@@ -34,44 +34,6 @@ pub use sched::CalendarQueue;
 pub use sim::{Agent, Context, LinkId, NodeId, SimAudit, Simulator, DEFAULT_INSTANT_EVENT_LIMIT};
 pub use time::SimTime;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Whether new [`Simulator`]s run the pre-rewrite reference hot path
-/// (binary-heap scheduler, boxed per-event dispatch, O(n) pipe queue
-/// scans) instead of the calendar-queue fast path.
-///
-/// Seeded once from the `LEO_NETSIM_REFERENCE` environment variable
-/// (`1` or `true`), then togglable with [`set_reference_mode`]. Both
-/// paths are bit-identical in every observable output; the reference
-/// exists so `examples/netsim_bench.rs` can measure the rewrite's
-/// speedup against a baseline reproducible in the same run — the same
-/// pattern as the orbit subsystem's `LEO_ORBIT_NAIVE` oracle.
-pub fn reference_mode() -> bool {
-    use std::sync::OnceLock;
-    static INIT: OnceLock<()> = OnceLock::new();
-    INIT.get_or_init(|| {
-        let on = std::env::var("LEO_NETSIM_REFERENCE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        if on {
-            REFERENCE_MODE.store(true, Ordering::Relaxed);
-        }
-    });
-    REFERENCE_MODE.load(Ordering::Relaxed)
-}
-
-/// Flips the process-wide reference mode (see [`reference_mode`]).
-///
-/// Process-global: intended for single-threaded benchmark drivers that
-/// phase baseline and fast runs, not for tests running in parallel —
-/// tests should construct [`Simulator::new_reference`] explicitly.
-pub fn set_reference_mode(on: bool) {
-    reference_mode(); // force env seeding first so it cannot overwrite us
-    REFERENCE_MODE.store(on, Ordering::Relaxed);
-}
-
 /// Whether strict conformance checking is enabled for this process.
 ///
 /// Controlled by the `LEO_CONFORMANCE` environment variable (`1` or

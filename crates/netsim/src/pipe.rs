@@ -128,10 +128,6 @@ pub struct ConstPipe {
     /// `now + delay`, so "bytes not yet through transmission" is exactly
     /// this counter (minus the in-service head for the queue reading).
     inflight_bytes: u64,
-    /// Use the pre-rewrite O(n) scan for queue occupancy instead of the
-    /// running counter. Identical result, different cost — kept so the
-    /// benchmark's baseline reproduces the old per-offer cost model.
-    ref_scan: bool,
     stats: PipeStats,
     /// Drops attributed to the pipe having zero capacity (see `offer`);
     /// a sub-count of `stats.dropped_queue`.
@@ -151,19 +147,10 @@ impl ConstPipe {
             tx_memo: (0, SimTime::ZERO),
             in_flight: VecDeque::new(),
             inflight_bytes: 0,
-            ref_scan: crate::reference_mode(),
             stats: PipeStats::default(),
             zero_rate_drops: 0,
             queue_hiwater: 0,
         }
-    }
-
-    /// Forces the pre-rewrite O(n) queue-occupancy scan regardless of the
-    /// process-wide [`crate::reference_mode`] — the baseline cost model
-    /// for `examples/netsim_bench.rs` and equivalence tests.
-    pub fn with_reference_accounting(mut self) -> Self {
-        self.ref_scan = true;
-        self
     }
 
     /// Drops caused by the pipe having zero capacity, a sub-count of
@@ -213,14 +200,10 @@ impl Pipe for ConstPipe {
         }
         // O(1): gc just evicted everything transmitted by `now`, so the
         // occupancy is the running byte total minus the in-service head.
-        // (`queued_bytes(now)` computes the same value by scanning; the
-        // reference mode keeps that scan as the measurable baseline.)
-        let queued: u64 = if self.ref_scan {
-            self.queued_bytes(now)
-        } else {
-            self.inflight_bytes
-                .saturating_sub(self.in_flight.front().map_or(0, |&(_, s)| s as u64))
-        };
+        // (`queued_bytes(now)` computes the same value by scanning.)
+        let queued: u64 = self
+            .inflight_bytes
+            .saturating_sub(self.in_flight.front().map_or(0, |&(_, s)| s as u64));
         debug_assert_eq!(queued, self.queued_bytes(now));
         if crate::strict_checks() {
             assert_eq!(
@@ -291,8 +274,6 @@ pub struct TracePipe {
     /// [`ConstPipe::inflight_bytes`]); the whole total counts as queued
     /// here because Mahimahi has no serialisation server.
     inflight_bytes: u64,
-    /// Pre-rewrite O(n) occupancy scan (see [`ConstPipe`]'s field).
-    ref_scan: bool,
     stats: PipeStats,
     queue_hiwater: u64,
 }
@@ -317,17 +298,9 @@ impl TracePipe {
             opp_cursor: 0,
             in_flight: VecDeque::new(),
             inflight_bytes: 0,
-            ref_scan: crate::reference_mode(),
             stats: PipeStats::default(),
             queue_hiwater: 0,
         }
-    }
-
-    /// Forces the pre-rewrite O(n) queue-occupancy scan (see
-    /// [`ConstPipe::with_reference_accounting`]).
-    pub fn with_reference_accounting(mut self) -> Self {
-        self.ref_scan = true;
-        self
     }
 
     /// Attaches a per-second loss-probability series; second `i` of
@@ -381,11 +354,7 @@ impl Pipe for TracePipe {
         }
         // O(1): after gc every remaining delivery is past the horizon, so
         // the scan in `queued_bytes(now)` would count all of `in_flight`.
-        let queued = if self.ref_scan {
-            self.queued_bytes(now)
-        } else {
-            self.inflight_bytes
-        };
+        let queued = self.inflight_bytes;
         debug_assert_eq!(queued, self.queued_bytes(now));
         if crate::strict_checks() {
             assert_eq!(
@@ -549,16 +518,37 @@ mod tests {
         assert_eq!(live.dropped_zero_rate(), 0);
     }
 
+    /// Offers `size` at `now` and checks the admission against the
+    /// O(n) occupancy scan read before the offer: admitted iff
+    /// `queued_bytes(now) + size <= limit`, unless the loss draw dropped
+    /// the packet first.
+    fn offer_checked(
+        p: &mut dyn Pipe,
+        limit: u64,
+        size: u32,
+        now: SimTime,
+        r: &mut SmallRng,
+        i: u64,
+    ) {
+        let queued = p.queued_bytes(now);
+        let random_before = p.stats().dropped_random;
+        let admitted = p.offer(size, now, r).is_some();
+        if p.stats().dropped_random == random_before {
+            assert_eq!(
+                admitted,
+                queued + size as u64 <= limit,
+                "packet {i}: {queued} B queued"
+            );
+        }
+    }
+
     #[test]
     fn o1_queue_accounting_matches_reference_scan() {
-        // The running-counter occupancy and the pre-rewrite O(n) scan
-        // must make identical admission decisions packet for packet,
-        // across idle gaps, floods, and random loss.
-        let mut fast = ConstPipe::new(8.0, SimTime::from_millis(15), 0.2, 6_000);
-        let mut slow =
-            ConstPipe::new(8.0, SimTime::from_millis(15), 0.2, 6_000).with_reference_accounting();
-        let mut r1 = rng();
-        let mut r2 = rng();
+        // The running-counter occupancy must make the admission decision
+        // the O(n) scan implies, packet for packet, across idle gaps,
+        // floods, and random loss.
+        let mut p = ConstPipe::new(8.0, SimTime::from_millis(15), 0.2, 6_000);
+        let mut r = rng();
         let mut t = SimTime::ZERO;
         for i in 0..3_000u64 {
             // Bursts of 4 with occasional long idle gaps.
@@ -567,33 +557,19 @@ mod tests {
             } else {
                 SimTime::from_micros(i % 4 * 90)
             };
-            assert_eq!(
-                fast.offer(1200, t, &mut r1),
-                slow.offer(1200, t, &mut r2),
-                "packet {i}"
-            );
+            offer_checked(&mut p, 6_000, 1200, t, &mut r, i);
         }
-        assert_eq!(fast.stats(), slow.stats());
-        assert_eq!(fast.queue_hiwater_bytes(), slow.queue_hiwater_bytes());
-        assert!(fast.stats().dropped_queue > 0, "queue must saturate");
+        assert!(p.stats().dropped_queue > 0, "queue must saturate");
 
         let trace = MahimahiTrace::from_capacity_series(&[6.0, 2.0, 9.0]);
-        let mut fast = TracePipe::new(trace.clone(), SimTime::from_millis(5), 9_000)
-            .with_loss_series(vec![0.0, 0.3]);
-        let mut slow = TracePipe::new(trace, SimTime::from_millis(5), 9_000)
-            .with_loss_series(vec![0.0, 0.3])
-            .with_reference_accounting();
+        let mut p =
+            TracePipe::new(trace, SimTime::from_millis(5), 9_000).with_loss_series(vec![0.0, 0.3]);
         let mut t = SimTime::ZERO;
         for i in 0..3_000u64 {
             t += SimTime::from_micros(700 + i % 7 * 130);
-            assert_eq!(
-                fast.offer(1200, t, &mut r1),
-                slow.offer(1200, t, &mut r2),
-                "packet {i}"
-            );
+            offer_checked(&mut p, 9_000, 1200, t, &mut r, i);
         }
-        assert_eq!(fast.stats(), slow.stats());
-        assert!(fast.stats().dropped_queue > 0, "queue must saturate");
+        assert!(p.stats().dropped_queue > 0, "queue must saturate");
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! events dispatch to agents directly on the internal `EventKind` (no boxed
 //! closures), and agent actions accumulate in one reusable buffer
 //! instead of a fresh `Vec` per event. The pre-rewrite scheduler — a
-//! global `BinaryHeap` with boxed per-event dispatch — is kept intact
-//! behind [`Simulator::new_reference`] as the measurable baseline
-//! (`examples/netsim_bench.rs`) and the ordering oracle; both modes are
-//! bit-identical in every observable output, pinned by the conformance
-//! goldens and the scheduler-equivalence proptests.
+//! global `BinaryHeap` with boxed per-event dispatch — survives only as a
+//! test oracle: this module's tests run both loops and require
+//! bit-identical runs, and `tests/sched_equivalence.rs` pins the queue
+//! order against a heap.
 
 use crate::packet::Packet;
 use crate::pipe::{Pipe, PipeStats};
@@ -19,8 +18,6 @@ use crate::sched::CalendarQueue;
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Identifies a node (agent) in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -115,61 +112,31 @@ enum EventKind {
     },
 }
 
-struct ScheduledEvent {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for ScheduledEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for ScheduledEvent {}
-impl PartialOrd for ScheduledEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ScheduledEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Ties broken by insertion order for determinism.
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The event store: the calendar queue, or the pre-rewrite binary heap
-/// kept as the measurable reference baseline. Both pop in exactly
-/// ascending `(at, seq)` order.
+/// The event store: the calendar queue, or (in tests) the pre-rewrite
+/// binary heap it is checked against. Both pop in exactly ascending
+/// `(at, seq)` order.
 enum EventQueue {
     Calendar(CalendarQueue<EventKind>),
-    ReferenceHeap(BinaryHeap<Reverse<ScheduledEvent>>),
+    #[cfg(test)]
+    ReferenceHeap(reference::Heap),
 }
 
 impl EventQueue {
     fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
         match self {
             EventQueue::Calendar(q) => q.push(at, seq, kind),
-            EventQueue::ReferenceHeap(h) => h.push(Reverse(ScheduledEvent { at, seq, kind })),
+            #[cfg(test)]
+            EventQueue::ReferenceHeap(h) => h.push(at, seq, kind),
         }
     }
 
     /// Removes and returns the earliest event iff its timestamp is at or
     /// before `deadline`.
-    fn pop_le(&mut self, deadline: SimTime) -> Option<ScheduledEvent> {
+    fn pop_le(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
         match self {
-            EventQueue::Calendar(q) => {
-                q.pop_le(deadline)
-                    .map(|(at, seq, kind)| ScheduledEvent { at, seq, kind })
-            }
-            EventQueue::ReferenceHeap(h) => {
-                if h.peek().is_some_and(|Reverse(ev)| ev.at <= deadline) {
-                    h.pop().map(|Reverse(ev)| ev)
-                } else {
-                    None
-                }
-            }
+            EventQueue::Calendar(q) => q.pop_le(deadline).map(|(at, _, kind)| (at, kind)),
+            #[cfg(test)]
+            EventQueue::ReferenceHeap(h) => h.pop_le(deadline),
         }
     }
 }
@@ -203,9 +170,6 @@ pub struct Simulator {
     /// callback, so its capacity is the high-water mark of actions per
     /// callback rather than a per-event allocation.
     action_buf: Vec<Action>,
-    /// Whether this simulator runs the pre-rewrite reference hot path
-    /// (heap scheduler + boxed per-event dispatch + per-event buffers).
-    reference: bool,
     /// Events that popped with a timestamp before `now` — always zero
     /// unless the event queue ordering is broken. Checked by the
     /// conformance layer's clock-monotonicity invariant.
@@ -247,46 +211,21 @@ impl SimAudit {
 
 impl Simulator {
     /// Creates an empty simulation with the given RNG seed.
-    ///
-    /// Uses the calendar-queue hot path unless the process-wide
-    /// [`crate::reference_mode`] is active.
     pub fn new(seed: u64) -> Self {
-        Self::with_mode(seed, crate::reference_mode())
-    }
-
-    /// Creates a simulation on the pre-rewrite reference hot path
-    /// (binary-heap scheduler, boxed per-event dispatch, per-event action
-    /// buffers) regardless of the process-wide mode — the baseline side
-    /// of `examples/netsim_bench.rs` and of equivalence tests.
-    pub fn new_reference(seed: u64) -> Self {
-        Self::with_mode(seed, true)
-    }
-
-    fn with_mode(seed: u64, reference: bool) -> Self {
         Self {
             now: SimTime::ZERO,
-            events: if reference {
-                EventQueue::ReferenceHeap(BinaryHeap::new())
-            } else {
-                EventQueue::Calendar(CalendarQueue::new())
-            },
+            events: EventQueue::Calendar(CalendarQueue::new()),
             event_seq: 0,
             nodes: Vec::new(),
             links: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             action_buf: Vec::new(),
-            reference,
             clock_regressions: 0,
             instant_at: SimTime::ZERO,
             instant_events: 0,
             instant_limit: DEFAULT_INSTANT_EVENT_LIMIT,
             cascade_overflows: 0,
         }
-    }
-
-    /// Whether this simulator runs the reference (pre-rewrite) hot path.
-    pub fn is_reference(&self) -> bool {
-        self.reference
     }
 
     /// Current simulated time.
@@ -455,34 +394,35 @@ impl Simulator {
     /// returns false when nothing qualifies (queue empty or head in the
     /// future).
     fn step_bounded(&mut self, deadline: SimTime) -> bool {
-        let Some(ev) = self.events.pop_le(deadline) else {
+        let Some((at, kind)) = self.events.pop_le(deadline) else {
             return false;
         };
-        if ev.at < self.now {
+        if at < self.now {
             // Recorded rather than only debug-asserted so release builds
             // surface the violation through `audit()` / `assert_conformance`.
             self.clock_regressions += 1;
             debug_assert!(false, "time went backwards");
         }
-        self.now = self.now.max(ev.at);
-        if ev.at == self.instant_at {
+        self.now = self.now.max(at);
+        if at == self.instant_at {
             self.instant_events += 1;
         } else {
-            self.instant_at = ev.at;
+            self.instant_at = at;
             self.instant_events = 1;
         }
-        if self.reference {
-            self.dispatch_reference(ev);
-        } else {
-            self.dispatch(ev);
+        #[cfg(test)]
+        if let EventQueue::ReferenceHeap(_) = self.events {
+            self.dispatch_reference(kind);
+            return true;
         }
+        self.dispatch(kind);
         true
     }
 
     /// Direct dispatch on [`EventKind`] with the reusable action buffer:
     /// no boxed closure, no fresh `Vec`, no per-event allocation at all.
-    fn dispatch(&mut self, ev: ScheduledEvent) {
-        let node = match ev.kind {
+    fn dispatch(&mut self, kind: EventKind) {
+        let node = match kind {
             EventKind::Arrival { node, .. } | EventKind::Timer { node, .. } => node,
         };
         let mut agent = self.nodes[node.0].take().expect("agent is present");
@@ -494,7 +434,7 @@ impl Simulator {
                 actions: &mut actions,
                 rng: &mut self.rng,
             };
-            match ev.kind {
+            match kind {
                 EventKind::Arrival { link, packet, .. } => agent.on_packet(&mut ctx, link, packet),
                 EventKind::Timer { id, .. } => agent.on_timer(&mut ctx, id),
             }
@@ -502,35 +442,6 @@ impl Simulator {
         self.nodes[node.0] = Some(agent);
         self.apply(&mut actions);
         self.action_buf = actions;
-    }
-
-    /// The pre-rewrite dispatch path, preserved verbatim in spirit: a
-    /// boxed `FnOnce` per event plus a fresh action `Vec` per callback.
-    /// Only reachable through [`Self::new_reference`] /
-    /// [`crate::reference_mode`]; exists so the rewrite's speedup stays
-    /// measurable in-tree (`examples/netsim_bench.rs`) rather than
-    /// against a number nobody can reproduce.
-    fn dispatch_reference(&mut self, ev: ScheduledEvent) {
-        type Delivery = Box<dyn FnOnce(&mut dyn Agent, &mut Context)>;
-        let (node, deliver): (NodeId, Delivery) = match ev.kind {
-            EventKind::Arrival { node, link, packet } => {
-                (node, Box::new(move |a, ctx| a.on_packet(ctx, link, packet)))
-            }
-            EventKind::Timer { node, id } => (node, Box::new(move |a, ctx| a.on_timer(ctx, id))),
-        };
-        let mut agent = self.nodes[node.0].take().expect("agent is present");
-        let mut actions: Vec<Action> = Vec::new();
-        {
-            let mut ctx = Context {
-                now: self.now,
-                node,
-                actions: &mut actions,
-                rng: &mut self.rng,
-            };
-            deliver(agent.as_mut(), &mut ctx);
-        }
-        self.nodes[node.0] = Some(agent);
-        self.apply(&mut actions);
     }
 
     /// Runs until the event queue drains or simulated time reaches
@@ -580,6 +491,94 @@ impl Drop for Simulator {
             hiwater = hiwater.max(l.pipe.queue_hiwater_bytes());
         }
         leo_obs::gauge_max("netsim.queue.hiwater_bytes", hiwater as f64);
+    }
+}
+
+/// The pre-rewrite event loop: a global binary heap, a boxed `FnOnce`
+/// per dispatched event and a fresh action `Vec` per callback. Kept as
+/// the oracle the calendar-queue loop is checked against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// A heap entry, ordered by `(at, seq)`.
+    struct ScheduledEvent {
+        at: SimTime,
+        seq: u64,
+        kind: EventKind,
+    }
+
+    impl PartialEq for ScheduledEvent {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl Eq for ScheduledEvent {}
+    impl PartialOrd for ScheduledEvent {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for ScheduledEvent {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            // Ties broken by insertion order for determinism.
+            (self.at, self.seq).cmp(&(other.at, other.seq))
+        }
+    }
+
+    /// The pre-rewrite scheduler.
+    #[derive(Default)]
+    pub(super) struct Heap(BinaryHeap<Reverse<ScheduledEvent>>);
+
+    impl Heap {
+        pub(super) fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) {
+            self.0.push(Reverse(ScheduledEvent { at, seq, kind }));
+        }
+
+        pub(super) fn pop_le(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
+            if self.0.peek().is_some_and(|Reverse(ev)| ev.at <= deadline) {
+                self.0.pop().map(|Reverse(ev)| (ev.at, ev.kind))
+            } else {
+                None
+            }
+        }
+    }
+
+    impl Simulator {
+        /// A simulation on the pre-rewrite event loop.
+        pub(super) fn new_reference(seed: u64) -> Self {
+            let mut sim = Self::new(seed);
+            sim.events = EventQueue::ReferenceHeap(Heap::default());
+            sim
+        }
+
+        /// The pre-rewrite dispatch, preserved verbatim in spirit.
+        pub(super) fn dispatch_reference(&mut self, kind: EventKind) {
+            type Delivery = Box<dyn FnOnce(&mut dyn Agent, &mut Context)>;
+            let (node, deliver): (NodeId, Delivery) = match kind {
+                EventKind::Arrival { node, link, packet } => {
+                    (node, Box::new(move |a, ctx| a.on_packet(ctx, link, packet)))
+                }
+                EventKind::Timer { node, id } => {
+                    (node, Box::new(move |a, ctx| a.on_timer(ctx, id)))
+                }
+            };
+            let mut agent = self.nodes[node.0].take().expect("agent is present");
+            let mut actions: Vec<Action> = Vec::new();
+            {
+                let mut ctx = Context {
+                    now: self.now,
+                    node,
+                    actions: &mut actions,
+                    rng: &mut self.rng,
+                };
+                deliver(agent.as_mut(), &mut ctx);
+            }
+            self.nodes[node.0] = Some(agent);
+            self.apply(&mut actions);
+        }
     }
 }
 

@@ -111,28 +111,25 @@ impl StarlinkLinkModel {
     /// `leo_geo::AreaClassifier`); the two slices must have equal length.
     /// The result is deterministic in `(samples, areas, config)`.
     ///
-    /// Satellite selection runs on the [`crate::fastpath`] searcher; set
-    /// `LEO_ORBIT_NAIVE=1` to force the naive full-constellation scan
-    /// instead (the traces are bit-identical either way — the toggle only
-    /// exists so benchmarks can measure the before/after wall clock).
+    /// Satellite selection runs on the [`crate::fastpath`] searcher.
     pub fn trace_for_drive(
         &self,
         samples: &[EnvironmentSample],
         areas: &[AreaType],
     ) -> (LinkTrace, LinkTrace) {
-        let naive = std::env::var_os("LEO_ORBIT_NAIVE").is_some_and(|v| v != "0");
-        self.trace_for_drive_impl(samples, areas, naive)
+        let mut searcher = VisibilitySearcher::new(&self.constellation);
+        self.trace_with(samples, areas, Some(&mut searcher))
     }
 
-    /// [`trace_for_drive`](Self::trace_for_drive) forced onto the naive
-    /// visibility scan (the fast path's oracle). Exposed for equivalence
-    /// tests and the before/after benchmark; produces bit-identical traces.
-    pub fn trace_for_drive_naive(
+    /// [`trace_for_drive`](Self::trace_for_drive) on the naive
+    /// full-constellation visibility scan: the fast path's oracle.
+    #[cfg(test)]
+    fn trace_for_drive_naive(
         &self,
         samples: &[EnvironmentSample],
         areas: &[AreaType],
     ) -> (LinkTrace, LinkTrace) {
-        self.trace_for_drive_impl(samples, areas, true)
+        self.trace_with(samples, areas, None)
     }
 
     /// [`trace_for_drive`](Self::trace_for_drive) with an externally
@@ -160,23 +157,8 @@ impl StarlinkLinkModel {
         self.trace_with(samples, areas, Some(searcher))
     }
 
-    fn trace_for_drive_impl(
-        &self,
-        samples: &[EnvironmentSample],
-        areas: &[AreaType],
-        force_naive: bool,
-    ) -> (LinkTrace, LinkTrace) {
-        if force_naive {
-            // The oracle path: either LEO_ORBIT_NAIVE or an equivalence
-            // check deliberately bypassed the fast searcher.
-            leo_obs::incr("orbit.oracle_fallbacks", 1);
-            self.trace_with(samples, areas, None)
-        } else {
-            let mut searcher = VisibilitySearcher::new(&self.constellation);
-            self.trace_with(samples, areas, Some(&mut searcher))
-        }
-    }
-
+    /// The trace loop, selecting satellites with `searcher`, or with the
+    /// naive scan when it is `None` (the test oracle).
     fn trace_with(
         &self,
         samples: &[EnvironmentSample],
@@ -482,7 +464,7 @@ mod tests {
             let (s, a) = drive(area, 300);
             for plan in [DishPlan::Mobility, DishPlan::Roam] {
                 let m = model(plan);
-                let (fast_d, fast_u) = m.trace_for_drive_impl(&s, &a, false);
+                let (fast_d, fast_u) = m.trace_for_drive(&s, &a);
                 let (naive_d, naive_u) = m.trace_for_drive_naive(&s, &a);
                 assert_eq!(fast_d, naive_d, "{area} {plan:?} downlink");
                 assert_eq!(fast_u, naive_u, "{area} {plan:?} uplink");

@@ -66,9 +66,8 @@ pub trait CongestionControl: std::fmt::Debug + Send {
 /// inlining) on every event. This enum holds the built-in controllers
 /// inline and dispatches with a match the optimizer can flatten; external
 /// implementations keep full generality behind the [`Cc::Custom`]
-/// variant, which also serves as the benchmark's dynamic-dispatch
-/// baseline (see [`crate::reference_mode`]). Both construction paths run
-/// the exact same controller code, so outcomes are bit-identical.
+/// variant. A built-in controller boxed into `Custom` runs the exact
+/// same code, so outcomes are bit-identical either way.
 #[derive(Debug)]
 pub enum Cc {
     /// Inline TCP Reno.
@@ -77,8 +76,7 @@ pub enum Cc {
     Cubic(Cubic),
     /// Inline BBR-lite.
     BbrLite(BbrLite),
-    /// Trait-object fallback for external controllers (and the
-    /// reference-mode baseline).
+    /// Trait-object fallback for external controllers.
     Custom(Box<dyn CongestionControl>),
 }
 
@@ -92,9 +90,10 @@ impl Cc {
         }
     }
 
-    /// Builds the same controller behind a trait object — the
-    /// pre-rewrite dispatch cost, for reference-mode benchmarking.
-    pub fn reference(algo: CcAlgorithm) -> Self {
+    /// Builds the same controller behind a trait object: the pre-rewrite
+    /// dispatch, for the flow-core lockstep oracle.
+    #[cfg(test)]
+    pub(crate) fn reference(algo: CcAlgorithm) -> Self {
         Cc::Custom(algo.build())
     }
 

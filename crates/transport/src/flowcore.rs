@@ -12,42 +12,28 @@
 //! plain TCP) that the core hands back whenever it asks for a
 //! retransmission.
 //!
-//! # Scoreboard backends
+//! # Scoreboard
 //!
 //! Segments are allocated by [`FlowCore::alloc_seq`] and registered in
 //! order, so the unacknowledged window `snd_una..snd_nxt` is *dense*: a
 //! slab indexed by `seq - snd_una` represents it exactly, with the SACK
-//! scoreboard as one flag per slot. [`FlowCore`] therefore carries its
-//! state in one of two backends selected at construction:
+//! scoreboard as one flag per slot. The slab is a `VecDeque` ring of
+//! per-segment slots — O(1) register/ACK-advance/SACK, no per-segment
+//! allocation, and SACK loss detection that resumes from a per-epoch
+//! cursor (amortised O(1) per ACK instead of a rescan of the recovery
+//! window).
 //!
-//! * **Slab** (default): a `VecDeque` ring of per-segment slots — O(1)
-//!   register/ACK-advance/SACK, no per-segment allocation, and SACK loss
-//!   detection that resumes from a per-epoch cursor (amortised O(1) per
-//!   ACK instead of a rescan of the recovery window).
-//! * **BTree** (under [`crate::reference_mode`]): the pre-rewrite
-//!   `BTreeMap` + `BTreeSet` implementation, kept verbatim as the
-//!   benchmark baseline and the oracle for the equivalence proptests.
-//!
-//! Both backends implement the identical RFC 6675-style algorithm and
-//! produce bit-identical outcomes; `tests/flowcore_equivalence.rs` drives
-//! them in lockstep over randomized loss/reorder/RTO patterns.
+//! The pre-rewrite `BTreeMap` + `BTreeSet` scoreboard behind boxed
+//! congestion control survives as a test-only oracle: the crate's
+//! `flowcore_equivalence` tests drive both in lockstep over randomized
+//! loss/reorder/RTO patterns and require bit-identical outcomes.
 
 use crate::cc::{Cc, CcAlgorithm};
 use crate::rtt::RttEstimator;
 use leo_netsim::SimTime;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-/// Per-segment transmission record (reference backend).
-#[derive(Debug, Clone, Copy)]
-struct TxInfo {
-    aux: u64,
-    rexmit: bool,
-    /// Recovery epoch in which this segment was last retransmitted (so each
-    /// hole is filled at most once per recovery).
-    rexmit_epoch: u64,
-}
-
-/// Per-segment slot in the dense window slab (fast backend).
+/// Per-segment slot in the dense window slab.
 #[derive(Debug, Clone, Copy)]
 struct TxSlot {
     aux: u64,
@@ -118,19 +104,13 @@ struct SlabBoard {
     scan_slots: u64,
 }
 
-/// Pre-rewrite scoreboard, kept as the reference baseline and proptest
-/// oracle.
-#[derive(Debug, Default)]
-struct BTreeBoard {
-    inflight: BTreeMap<u64, TxInfo>,
-    sacked: BTreeSet<u64>,
-}
-
-/// Scoreboard backend selector (see the module docs).
+/// The scoreboard: the slab, or in tests the oracle it is checked
+/// against.
 #[derive(Debug)]
 enum Scoreboard {
     Slab(SlabBoard),
-    BTree(BTreeBoard),
+    #[cfg(test)]
+    BTree(reference::BTreeBoard),
 }
 
 impl SlabBoard {
@@ -169,16 +149,8 @@ impl Scoreboard {
                     sacked: false,
                 });
             }
-            Scoreboard::BTree(b) => {
-                b.inflight.insert(
-                    seq,
-                    TxInfo {
-                        aux,
-                        rexmit,
-                        rexmit_epoch: if rexmit { epoch } else { 0 },
-                    },
-                );
-            }
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.register(seq, aux, rexmit, epoch),
         }
     }
 
@@ -186,7 +158,8 @@ impl Scoreboard {
     fn inflight_len(&self) -> usize {
         match self {
             Scoreboard::Slab(b) => b.slots.len(),
-            Scoreboard::BTree(b) => b.inflight.len(),
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.inflight_len(),
         }
     }
 
@@ -194,7 +167,8 @@ impl Scoreboard {
     fn sacked_len(&self) -> usize {
         match self {
             Scoreboard::Slab(b) => b.sacked_total(),
-            Scoreboard::BTree(b) => b.sacked.len(),
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.sacked_len(),
         }
     }
 
@@ -215,9 +189,8 @@ impl Scoreboard {
                     b.stale_sacked.insert(pos, seq);
                 }
             }
-            Scoreboard::BTree(b) => {
-                b.sacked.insert(seq);
-            }
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.sack(seq),
         }
     }
 
@@ -228,7 +201,8 @@ impl Scoreboard {
             Scoreboard::Slab(b) => {
                 seq >= b.base && b.slots.get(b.idx(seq)).map(|s| !s.rexmit).unwrap_or(false)
             }
-            Scoreboard::BTree(b) => b.inflight.get(&seq).map(|i| !i.rexmit).unwrap_or(false),
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.is_clean(seq),
         }
     }
 
@@ -251,10 +225,8 @@ impl Scoreboard {
                 // `ack` — exactly what `sacked.split_off(&ack)` discards.
                 b.stale_sacked.clear();
             }
-            Scoreboard::BTree(b) => {
-                b.inflight = b.inflight.split_off(&ack);
-                b.sacked = b.sacked.split_off(&ack);
-            }
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.advance_to(ack),
         }
     }
 
@@ -269,11 +241,8 @@ impl Scoreboard {
                         .map(|s| s.rexmit_epoch < epoch)
                         .unwrap_or(false)
             }
-            Scoreboard::BTree(b) => b
-                .inflight
-                .get(&head)
-                .map(|i| i.rexmit_epoch < epoch)
-                .unwrap_or(false),
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.head_fresh(head, epoch),
         }
     }
 
@@ -291,6 +260,7 @@ impl Scoreboard {
     ) -> usize {
         match self {
             Scoreboard::Slab(b) => {
+                debug_assert_eq!(una, b.base, "the slab is based at snd_una");
                 // Resume where this epoch's last scan stopped. Exact: the
                 // slots below the cursor pick nothing, and `sacks_above`
                 // only falls along the scan, so a full rescan either gets
@@ -328,38 +298,8 @@ impl Scoreboard {
                 b.sacked_below_scan = b.sacked_total() - sacks_above;
                 picked
             }
-            Scoreboard::BTree(b) => {
-                // Verbatim pre-rewrite shape, including the temporary
-                // `picked` allocation the fast path eliminates.
-                let mut picked = Vec::new();
-                {
-                    let sacked = &b.sacked;
-                    let mut sacks_above = sacked.len();
-                    for (&seq, info) in b.inflight.range(una..high) {
-                        if sacked.contains(&seq) {
-                            sacks_above -= 1;
-                            continue;
-                        }
-                        if sacks_above < DUP_THRESH {
-                            break;
-                        }
-                        if info.rexmit_epoch < epoch {
-                            picked.push((seq, info.aux));
-                            if picked.len() >= budget {
-                                break;
-                            }
-                        }
-                    }
-                }
-                for &(seq, aux) in &picked {
-                    if let Some(i) = b.inflight.get_mut(&seq) {
-                        i.rexmit = true;
-                        i.rexmit_epoch = epoch;
-                    }
-                    out.push((seq, aux));
-                }
-                picked.len()
-            }
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.pick_lost(una, high, epoch, budget, out),
         }
     }
 
@@ -378,11 +318,8 @@ impl Scoreboard {
                     s.aux
                 })
             }
-            Scoreboard::BTree(b) => b.inflight.get_mut(&seq).map(|i| {
-                i.rexmit = true;
-                i.rexmit_epoch = epoch;
-                i.aux
-            }),
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.force_mark(seq, epoch),
         }
     }
 
@@ -393,22 +330,17 @@ impl Scoreboard {
             Scoreboard::Slab(b) => {
                 out.extend(b.slots.iter().filter(|s| !s.sacked).map(|s| s.aux));
             }
-            Scoreboard::BTree(b) => {
-                out.extend(
-                    b.inflight
-                        .iter()
-                        .filter(|(seq, _)| !b.sacked.contains(seq))
-                        .map(|(_, i)| i.aux),
-                );
-            }
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.stranded_into(out),
         }
     }
 
-    /// Slots examined by loss detection so far (the slab backend's
-    /// count; the reference backend reports 0).
+    /// Slots examined by loss detection so far (the slab's count; the
+    /// oracle reports 0).
     fn scan_slots(&self) -> u64 {
         match self {
             Scoreboard::Slab(b) => b.scan_slots,
+            #[cfg(test)]
             Scoreboard::BTree(_) => 0,
         }
     }
@@ -426,7 +358,135 @@ impl Scoreboard {
                 b.stale_sacked.clear();
                 b.reset_scan();
             }
-            Scoreboard::BTree(b) => b.sacked.clear(),
+            #[cfg(test)]
+            Scoreboard::BTree(b) => b.clear_sacked(),
+        }
+    }
+}
+
+/// The pre-rewrite `BTreeMap` + `BTreeSet` scoreboard, kept as the
+/// oracle of the `flowcore_equivalence` lockstep tests. Each method is
+/// the [`Scoreboard`] method of the same name.
+#[cfg(test)]
+mod reference {
+    use super::DUP_THRESH;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Per-segment transmission record.
+    #[derive(Debug, Clone, Copy)]
+    struct TxInfo {
+        aux: u64,
+        rexmit: bool,
+        /// Recovery epoch in which this segment was last retransmitted (so
+        /// each hole is filled at most once per recovery).
+        rexmit_epoch: u64,
+    }
+
+    #[derive(Debug, Default)]
+    pub(super) struct BTreeBoard {
+        inflight: BTreeMap<u64, TxInfo>,
+        sacked: BTreeSet<u64>,
+    }
+
+    impl BTreeBoard {
+        pub(super) fn register(&mut self, seq: u64, aux: u64, rexmit: bool, epoch: u64) {
+            self.inflight.insert(
+                seq,
+                TxInfo {
+                    aux,
+                    rexmit,
+                    rexmit_epoch: if rexmit { epoch } else { 0 },
+                },
+            );
+        }
+
+        pub(super) fn inflight_len(&self) -> usize {
+            self.inflight.len()
+        }
+
+        pub(super) fn sacked_len(&self) -> usize {
+            self.sacked.len()
+        }
+
+        pub(super) fn sack(&mut self, seq: u64) {
+            self.sacked.insert(seq);
+        }
+
+        pub(super) fn is_clean(&self, seq: u64) -> bool {
+            self.inflight.get(&seq).map(|i| !i.rexmit).unwrap_or(false)
+        }
+
+        pub(super) fn advance_to(&mut self, ack: u64) {
+            self.inflight = self.inflight.split_off(&ack);
+            self.sacked = self.sacked.split_off(&ack);
+        }
+
+        pub(super) fn head_fresh(&self, head: u64, epoch: u64) -> bool {
+            self.inflight
+                .get(&head)
+                .map(|i| i.rexmit_epoch < epoch)
+                .unwrap_or(false)
+        }
+
+        pub(super) fn pick_lost(
+            &mut self,
+            una: u64,
+            high: u64,
+            epoch: u64,
+            budget: usize,
+            out: &mut Vec<(u64, u64)>,
+        ) -> usize {
+            // Verbatim pre-rewrite shape, including the temporary
+            // `picked` allocation the slab eliminates.
+            let mut picked = Vec::new();
+            {
+                let sacked = &self.sacked;
+                let mut sacks_above = sacked.len();
+                for (&seq, info) in self.inflight.range(una..high) {
+                    if sacked.contains(&seq) {
+                        sacks_above -= 1;
+                        continue;
+                    }
+                    if sacks_above < DUP_THRESH {
+                        break;
+                    }
+                    if info.rexmit_epoch < epoch {
+                        picked.push((seq, info.aux));
+                        if picked.len() >= budget {
+                            break;
+                        }
+                    }
+                }
+            }
+            for &(seq, aux) in &picked {
+                if let Some(i) = self.inflight.get_mut(&seq) {
+                    i.rexmit = true;
+                    i.rexmit_epoch = epoch;
+                }
+                out.push((seq, aux));
+            }
+            picked.len()
+        }
+
+        pub(super) fn force_mark(&mut self, seq: u64, epoch: u64) -> Option<u64> {
+            self.inflight.get_mut(&seq).map(|i| {
+                i.rexmit = true;
+                i.rexmit_epoch = epoch;
+                i.aux
+            })
+        }
+
+        pub(super) fn stranded_into(&self, out: &mut Vec<u64>) {
+            out.extend(
+                self.inflight
+                    .iter()
+                    .filter(|(seq, _)| !self.sacked.contains(seq))
+                    .map(|(_, i)| i.aux),
+            );
+        }
+
+        pub(super) fn clear_sacked(&mut self) {
+            self.sacked.clear();
         }
     }
 }
@@ -462,49 +522,31 @@ pub struct FlowCore {
 }
 
 impl FlowCore {
-    /// A fresh flow with the given congestion controller, on the backend
-    /// selected by the process-wide [`crate::reference_mode`].
+    /// A fresh flow with the given congestion controller.
     pub fn new(cc: CcAlgorithm) -> Self {
-        Self::with_reference(cc, crate::reference_mode())
+        Self::with_cc(Cc::new(cc))
     }
 
-    /// A fresh flow on an explicit backend: `reference = true` builds the
-    /// pre-rewrite BTree scoreboard behind boxed congestion-control
-    /// dispatch; `false` builds the slab fast path. Both produce
-    /// bit-identical outcomes — this constructor exists for the
-    /// equivalence proptests and the benchmark baseline.
-    pub fn with_reference(cc: CcAlgorithm, reference: bool) -> Self {
-        Self::from_parts(
-            if reference {
-                Cc::reference(cc)
-            } else {
-                Cc::new(cc)
-            },
-            reference,
-        )
+    /// A fresh flow on the pre-rewrite BTree scoreboard behind boxed
+    /// congestion-control dispatch: the lockstep tests' oracle.
+    #[cfg(test)]
+    pub(crate) fn with_reference(cc: CcAlgorithm) -> Self {
+        let mut core = Self::with_cc(Cc::reference(cc));
+        core.board = Scoreboard::BTree(reference::BTreeBoard::default());
+        core
     }
 
     /// A fresh flow around an already-built controller — the entry point
     /// for externally supplied congestion control
     /// ([`crate::plugin::CcFactory`] hands the sender a boxed controller
-    /// which rides here as [`Cc::Custom`]). Scoreboard backend follows
-    /// the process-wide [`crate::reference_mode`], exactly like
-    /// [`FlowCore::new`].
+    /// which rides here as [`Cc::Custom`]).
     pub fn with_cc(cc: Cc) -> Self {
-        Self::from_parts(cc, crate::reference_mode())
-    }
-
-    fn from_parts(cc: Cc, reference: bool) -> Self {
         Self {
             cc,
             rtt: RttEstimator::new(),
             next_seq: 0,
             snd_una: 0,
-            board: if reference {
-                Scoreboard::BTree(BTreeBoard::default())
-            } else {
-                Scoreboard::Slab(SlabBoard::default())
-            },
+            board: Scoreboard::Slab(SlabBoard::default()),
             dup_acks: 0,
             recovery: None,
             recovery_epoch: 0,
@@ -751,7 +793,7 @@ impl FlowCore {
     }
 
     /// Scoreboard slots loss detection has examined so far: the per-ACK
-    /// cost of SACK recovery. Counted by the slab backend only.
+    /// cost of SACK recovery.
     pub fn scan_slots(&self) -> u64 {
         self.board.scan_slots()
     }
@@ -797,8 +839,8 @@ pub enum RtoFire {
 ///
 /// Outcome-equivalent to eager arming: the deadline is updated at the
 /// same call sites with the same `now + rto` formula, and a due fire
-/// happens at exactly that instant. The reference-mode senders keep the
-/// eager scheme, so the benchmark baseline retains its original cost.
+/// happens at exactly that instant (the `flowcore_equivalence` tests
+/// check this against the eager scheme).
 #[derive(Debug, Default)]
 pub struct RtoCoalesce {
     /// The instant the newest logical arm would fire.
@@ -1065,8 +1107,8 @@ mod tests {
         // A reordered ACK can SACK a sequence below snd_una; both
         // backends must account for it identically (the reference keeps
         // it in the scoreboard until the next cumulative advance).
-        let mut fast = FlowCore::with_reference(CcAlgorithm::Reno, false);
-        let mut rf = FlowCore::with_reference(CcAlgorithm::Reno, true);
+        let mut fast = FlowCore::new(CcAlgorithm::Reno);
+        let mut rf = FlowCore::with_reference(CcAlgorithm::Reno);
         for c in [&mut fast, &mut rf] {
             send_n(c, 10);
             c.handle_ack(5, 0, 0, SimTime::from_millis(10)); // advance to 5

@@ -1,7 +1,8 @@
 //! Flow-core equivalence proptests: the slab/bitmap fast path must be
 //! *bit-identical* to the pre-rewrite BTree reference across randomized
-//! loss, reordering, and RTO histories. The 31 conformance goldens ride
-//! on this equivalence — the transport rewrite swapped the SACK
+//! loss, reordering, and RTO histories. The reference exists only in
+//! test builds ([`FlowCore::with_reference`]). The conformance goldens
+//! ride on this equivalence — the transport rewrite swapped the SACK
 //! scoreboard, the congestion-control dispatch, and the RTO timer
 //! discipline out from under every figure, and any behavioral divergence
 //! would silently change RNG-dependent results everywhere.
@@ -26,9 +27,9 @@
 //!   equal the set of instants where an eager lazy-cancel timer fires
 //!   with a matching epoch.
 
+use crate::flowcore::{FlowActions, FlowCore, RtoCoalesce, RtoFire};
+use crate::CcAlgorithm;
 use leo_netsim::SimTime;
-use leo_transport::flowcore::{FlowActions, FlowCore, RtoCoalesce, RtoFire};
-use leo_transport::CcAlgorithm;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -140,8 +141,8 @@ struct Lockstep {
 impl Lockstep {
     fn new(cc: CcAlgorithm) -> Self {
         Self {
-            fast: FlowCore::with_reference(cc, false),
-            reference: FlowCore::with_reference(cc, true),
+            fast: FlowCore::new(cc),
+            reference: FlowCore::with_reference(cc),
             fa: FlowActions::default(),
             ra: FlowActions::default(),
             now: SimTime::ZERO,

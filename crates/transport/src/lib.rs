@@ -26,6 +26,8 @@
 pub mod cc;
 pub mod fec;
 pub mod flowcore;
+#[cfg(test)]
+mod flowcore_equivalence;
 pub mod mptcp;
 pub mod parallel;
 pub mod plugin;
@@ -42,50 +44,10 @@ pub use mptcp::{LeoGuard, MptcpConfig, MptcpReceiver, MptcpSender, SchedulerKind
 pub use parallel::ParallelTcp;
 pub use plugin::{CcFactory, MpScheduler, SchedView, SubflowView, TransportPlugins};
 pub use rtt::RttEstimator;
-pub use seqops::{OooSet, SeqBitmap};
+pub use seqops::SeqBitmap;
 pub use tcp::{TcpConfig, TcpReceiver, TcpSender};
 pub use throughput::ThroughputMeter;
 pub use udp::{UdpBlaster, UdpSink};
 
 /// Maximum segment size used throughout: one MTU-sized packet.
 pub const MSS_BYTES: u64 = 1500;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Whether new transport endpoints run the pre-rewrite reference hot path
-/// (`BTreeMap`/`BTreeSet` scoreboards, boxed congestion-control dispatch,
-/// per-opportunity `Vec` scheduling) instead of the slab/bitmap fast path.
-///
-/// Seeded once from the `LEO_TRANSPORT_REFERENCE` environment variable
-/// (`1` or `true`), then togglable with [`set_reference_mode`]. Both
-/// paths are bit-identical in every observable output; the reference
-/// exists so `examples/transport_bench.rs` can measure the rewrite's
-/// speedup against a baseline reproducible in the same run — the same
-/// pattern as `leo_netsim::reference_mode` and the orbit subsystem's
-/// `LEO_ORBIT_NAIVE` oracle.
-pub fn reference_mode() -> bool {
-    use std::sync::OnceLock;
-    static INIT: OnceLock<()> = OnceLock::new();
-    INIT.get_or_init(|| {
-        let on = std::env::var("LEO_TRANSPORT_REFERENCE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        if on {
-            REFERENCE_MODE.store(true, Ordering::Relaxed);
-        }
-    });
-    REFERENCE_MODE.load(Ordering::Relaxed)
-}
-
-/// Flips the process-wide reference mode (see [`reference_mode`]).
-///
-/// Process-global: intended for single-threaded benchmark drivers that
-/// phase baseline and fast runs, not for tests running in parallel —
-/// tests should construct endpoints explicitly (e.g.
-/// [`flowcore::FlowCore::with_reference`]).
-pub fn set_reference_mode(on: bool) {
-    reference_mode(); // force env seeding first so it cannot overwrite us
-    REFERENCE_MODE.store(on, Ordering::Relaxed);
-}

@@ -25,7 +25,7 @@
 use crate::cc::{Cc, CcAlgorithm};
 use crate::flowcore::{FlowActions, FlowCore, RtoCoalesce, RtoFire};
 use crate::plugin::{SchedView, SubflowView, TransportPlugins};
-use crate::seqops::OooSet;
+use crate::seqops::SeqBitmap;
 use crate::throughput::ThroughputMeter;
 use leo_netsim::{Agent, Context, LinkId, Packet};
 use std::collections::VecDeque;
@@ -150,7 +150,7 @@ impl MptcpConfig {
 struct Subflow {
     link: LinkId,
     core: FlowCore,
-    /// Fast-path RTO timer coalescer (unused under [`crate::reference_mode`]).
+    /// RTO timer coalescer: one pending physical timer per deadline.
     rto: RtoCoalesce,
     /// Sim time of the last fast-retransmit loss event (plug-in signal;
     /// passive bookkeeping, never read by the built-in schedulers).
@@ -171,7 +171,7 @@ pub struct MptcpSender {
     adv_rwnd: u64,
     /// DSNs awaiting reinjection after a subflow timeout.
     reinject: VecDeque<u64>,
-    reinject_set: OooSet,
+    reinject_set: SeqBitmap,
     /// Round-robin pointer.
     rr_next: usize,
     next_pkt_id: u64,
@@ -180,9 +180,6 @@ pub struct MptcpSender {
     scratch: FlowActions,
     /// Reusable subflow snapshot handed to a plug-in scheduler.
     views: Vec<SubflowView>,
-    /// Captured [`crate::reference_mode`]: selects the pre-rewrite
-    /// `Vec`-based scheduler pick for benchmarking.
-    reference: bool,
 }
 
 impl MptcpSender {
@@ -220,13 +217,12 @@ impl MptcpSender {
             data_una: 0,
             adv_rwnd,
             reinject: VecDeque::new(),
-            reinject_set: OooSet::new(),
+            reinject_set: SeqBitmap::new(),
             rr_next: 0,
             next_pkt_id: 0,
             started: false,
             scratch: FlowActions::default(),
             views: Vec::new(),
-            reference: crate::reference_mode(),
         }
     }
 
@@ -363,13 +359,8 @@ impl MptcpSender {
 
     /// Scheduler: choose a subflow for the next packet, or `None` to
     /// wait. The availability set lives in a `u64` bitmask (one bit per
-    /// subflow), so a steady-state pick allocates nothing; under
-    /// reference mode the pre-rewrite `Vec`-collecting implementation
-    /// runs instead. Both return identical choices.
+    /// subflow), so a steady-state pick allocates nothing.
     fn pick_subflow(&mut self, now_ms: u64) -> Option<usize> {
-        if self.reference {
-            return self.pick_subflow_reference(now_ms);
-        }
         let n = self.subflows.len();
         let mut space: u64 = 0;
         for (i, s) in self.subflows.iter().enumerate() {
@@ -426,58 +417,6 @@ impl MptcpSender {
                 }
                 // Only slower subflows have space.
                 let slow = self.min_rtt_in(avail).expect("non-empty");
-                let fast_core = &self.subflows[fastest].core;
-                let rtt_f = fast_core.srtt_s();
-                let rtt_s = self.subflows[slow].core.srtt_s();
-                self.slow_path_decision(slow, fast_core.cc.cwnd(), rtt_f, rtt_s)
-            }
-        }
-    }
-
-    /// The pre-rewrite scheduler pick, kept verbatim as the benchmark
-    /// baseline (per-opportunity `Vec` collect/retain).
-    fn pick_subflow_reference(&self, now_ms: u64) -> Option<usize> {
-        let mut avail: Vec<usize> = (0..self.subflows.len())
-            .filter(|&i| self.subflows[i].core.window_space())
-            .collect();
-        if self.cfg.scheduler == SchedulerKind::LeoAware {
-            if let Some(g) = self.cfg.leo_guard {
-                if g.in_guard(now_ms) && avail.len() > 1 {
-                    avail.retain(|&i| i != g.satellite_subflow);
-                }
-            }
-        }
-        if avail.is_empty() {
-            return None;
-        }
-        match self.cfg.scheduler {
-            SchedulerKind::RoundRobin => {
-                let n = self.subflows.len();
-                (0..n)
-                    .map(|k| (self.rr_next + k) % n)
-                    .find(|i| avail.contains(i))
-            }
-            SchedulerKind::MinRtt => avail.into_iter().min_by(|&a, &b| {
-                self.subflows[a]
-                    .core
-                    .srtt_s()
-                    .total_cmp(&self.subflows[b].core.srtt_s())
-            }),
-            SchedulerKind::Blest | SchedulerKind::Ecf | SchedulerKind::LeoAware => {
-                let fastest = self.fastest_subflow();
-                if avail.contains(&fastest) {
-                    return Some(fastest);
-                }
-                // Only slower subflows have space.
-                let slow = avail
-                    .into_iter()
-                    .min_by(|&a, &b| {
-                        self.subflows[a]
-                            .core
-                            .srtt_s()
-                            .total_cmp(&self.subflows[b].core.srtt_s())
-                    })
-                    .expect("non-empty");
                 let fast_core = &self.subflows[fastest].core;
                 let rtt_f = fast_core.srtt_s();
                 let rtt_s = self.subflows[slow].core.srtt_s();
@@ -554,13 +493,9 @@ impl MptcpSender {
 
     fn arm_rto(&mut self, ctx: &mut Context, sf_idx: usize) {
         let sf = &mut self.subflows[sf_idx];
-        // The epoch is bumped in both modes so `FlowCore` state stays
-        // bit-identical between the reference and fast paths.
         let epoch = sf.core.arm_rto();
         let timer_id = ((sf_idx as u64) << 48) | epoch;
-        if self.reference {
-            ctx.set_timer(sf.core.current_rto, timer_id);
-        } else if let Some(delay) = sf.rto.arm(ctx.now(), sf.core.current_rto) {
+        if let Some(delay) = sf.rto.arm(ctx.now(), sf.core.current_rto) {
             // Only arm a physical timer when no already-scheduled firing
             // covers the new deadline; intermediate restarts ride the
             // existing timer and re-arm the exact remainder on pop.
@@ -626,16 +561,12 @@ impl Agent for MptcpSender {
         if sf_idx >= self.subflows.len() {
             return;
         }
-        let epoch = if self.reference {
-            timer_id & ((1 << 48) - 1)
-        } else {
-            match self.subflows[sf_idx].rto.fire(ctx.now()) {
-                RtoFire::Due => self.subflows[sf_idx].core.rto_epoch,
-                RtoFire::Early => return,
-                RtoFire::Rearm(delay) => {
-                    ctx.set_timer(delay, (sf_idx as u64) << 48);
-                    return;
-                }
+        let epoch = match self.subflows[sf_idx].rto.fire(ctx.now()) {
+            RtoFire::Due => self.subflows[sf_idx].core.rto_epoch,
+            RtoFire::Early => return,
+            RtoFire::Rearm(delay) => {
+                ctx.set_timer(delay, (sf_idx as u64) << 48);
+                return;
             }
         };
         let mut actions = std::mem::take(&mut self.scratch);
@@ -673,7 +604,7 @@ impl Agent for MptcpSender {
 /// Per-subflow receiver state.
 struct SubRx {
     rcv_nxt: u64,
-    ooo: OooSet,
+    ooo: SeqBitmap,
 }
 
 /// The MPTCP receiving endpoint.
@@ -683,7 +614,7 @@ pub struct MptcpReceiver {
     ack_links: Vec<LinkId>,
     subrx: Vec<SubRx>,
     data_rcv_nxt: u64,
-    data_ooo: OooSet,
+    data_ooo: SeqBitmap,
     buffer_packets: u64,
     /// Goodput of the reassembled stream.
     pub meter: ThroughputMeter,
@@ -699,7 +630,7 @@ impl MptcpReceiver {
             .iter()
             .map(|_| SubRx {
                 rcv_nxt: 0,
-                ooo: OooSet::new(),
+                ooo: SeqBitmap::new(),
             })
             .collect();
         Self {
@@ -707,7 +638,7 @@ impl MptcpReceiver {
             ack_links,
             subrx,
             data_rcv_nxt: 0,
-            data_ooo: OooSet::new(),
+            data_ooo: SeqBitmap::new(),
             buffer_packets,
             meter: ThroughputMeter::new(),
             buffer_drops: 0,
@@ -827,6 +758,18 @@ mod tests {
         buffer: u64,
         secs: u64,
     ) -> (f64, Simulator, NodeId, NodeId) {
+        run_mptcp_with(p0, p1, scheduler, buffer, secs, TransportPlugins::default())
+    }
+
+    /// [`run_mptcp`] with plug-ins installed.
+    fn run_mptcp_with(
+        p0: Path,
+        p1: Path,
+        scheduler: SchedulerKind,
+        buffer: u64,
+        secs: u64,
+        plugins: TransportPlugins,
+    ) -> (f64, Simulator, NodeId, NodeId) {
         let (r0, d0, loss0) = (p0.rate, p0.delay_ms, p0.loss);
         let (r1, d1, loss1) = (p1.rate, p1.delay_ms, p1.loss);
         let mut sim = Simulator::new(77);
@@ -839,7 +782,7 @@ mod tests {
             subflow_links: vec![LinkId(0), LinkId(1)],
             limit_packets: None,
             leo_guard: None,
-            plugins: TransportPlugins::default(),
+            plugins,
         })));
         let receiver = sim.add_node(Box::new(MptcpReceiver::new(
             10,
@@ -941,6 +884,55 @@ mod tests {
             );
         }
         assert!(goodput > 70.0, "equal-path round-robin goodput {goodput}");
+    }
+
+    /// Always takes the highest-index available subflow.
+    #[derive(Debug)]
+    struct HighestIndex;
+
+    impl crate::plugin::MpScheduler for HighestIndex {
+        fn pick(&self, view: &SchedView) -> Option<usize> {
+            Some(63 - view.avail_mask.leading_zeros() as usize)
+        }
+    }
+
+    #[test]
+    fn plugin_scheduler_steers_the_sender() {
+        // Path 0 has the lower RTT, and a 32-packet connection buffer
+        // binds long before either cwnd, so both subflows keep window
+        // space: built-in MinRtt stays on subflow 0, and a plug-in that
+        // takes the highest-index subflow must move the load to 1.
+        let subflow1_sent = |plugins: TransportPlugins| {
+            let (_, sim, sender, _) = run_mptcp_with(
+                Path {
+                    rate: 50.0,
+                    delay_ms: 10,
+                    loss: 0.0,
+                },
+                Path {
+                    rate: 50.0,
+                    delay_ms: 40,
+                    loss: 0.0,
+                },
+                SchedulerKind::MinRtt,
+                32,
+                5,
+                plugins,
+            );
+            let counters: Vec<(u64, u64)> = sim
+                .agent_as::<MptcpSender>(sender)
+                .subflow_counters()
+                .collect();
+            counters[1].0
+        };
+        let builtin = subflow1_sent(TransportPlugins::default());
+        let plugged = subflow1_sent(
+            TransportPlugins::default().with_scheduler(std::sync::Arc::new(HighestIndex)),
+        );
+        assert!(
+            plugged > builtin,
+            "plug-in put {plugged} packets on subflow 1, built-in MinRtt {builtin}"
+        );
     }
 
     #[test]

@@ -7,13 +7,6 @@
 //! ring of 64-bit words indexed by `seq / 64`, so insert/remove/contains
 //! are one shift-and-mask instead of a `BTreeSet` node walk, and advancing
 //! the base reclaims whole words with a popcount.
-//!
-//! [`OooSet`] wraps the bitmap together with the pre-rewrite `BTreeSet`
-//! so benchmarks can phase the two against each other (see
-//! [`crate::reference_mode`]); both backends are observationally
-//! identical for the insert-above-base discipline the endpoints follow.
-
-use std::collections::BTreeSet;
 
 /// A set of `u64` sequence numbers held as a ring of 64-bit words.
 ///
@@ -177,95 +170,10 @@ impl SeqBitmap {
     }
 }
 
-/// An out-of-order sequence set with a mode-selected backend: the ring
-/// bitmap on the fast path, the pre-rewrite `BTreeSet` under
-/// [`crate::reference_mode`] (captured at construction).
-///
-/// [`OooSet::advance_to`] is a no-op on the `BTreeSet` backend — the
-/// original code never pruned below-base members eagerly (reassembly
-/// drains remove them; reinjection entries are dropped lazily on pop),
-/// and keeping that behavior is what makes the reference a faithful
-/// baseline. Both backends return identical results for every operation
-/// the endpoints perform.
-#[derive(Debug)]
-pub enum OooSet {
-    /// Ring-bitmap fast path.
-    Ring(SeqBitmap),
-    /// Pre-rewrite ordered-set reference.
-    BTree(BTreeSet<u64>),
-}
-
-impl Default for OooSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OooSet {
-    /// Picks the backend from the process-wide [`crate::reference_mode`].
-    pub fn new() -> Self {
-        if crate::reference_mode() {
-            OooSet::BTree(BTreeSet::new())
-        } else {
-            OooSet::Ring(SeqBitmap::new())
-        }
-    }
-
-    /// Inserts `seq`; returns true if newly inserted.
-    #[inline]
-    pub fn insert(&mut self, seq: u64) -> bool {
-        match self {
-            OooSet::Ring(b) => b.insert(seq),
-            OooSet::BTree(s) => s.insert(seq),
-        }
-    }
-
-    /// Removes `seq`; returns true if it was a member.
-    #[inline]
-    pub fn remove(&mut self, seq: u64) -> bool {
-        match self {
-            OooSet::Ring(b) => b.remove(seq),
-            OooSet::BTree(s) => s.remove(&seq),
-        }
-    }
-
-    /// True if `seq` is a member.
-    #[inline]
-    pub fn contains(&self, seq: u64) -> bool {
-        match self {
-            OooSet::Ring(b) => b.contains(seq),
-            OooSet::BTree(s) => s.contains(&seq),
-        }
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            OooSet::Ring(b) => b.len(),
-            OooSet::BTree(s) => s.len(),
-        }
-    }
-
-    /// True when no members are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Moves the ring base forward to `n` (reclaiming storage); no-op on
-    /// the reference backend, matching the pre-rewrite lazy semantics.
-    #[inline]
-    pub fn advance_to(&mut self, n: u64) {
-        if let OooSet::Ring(b) = self {
-            b.advance_to(n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn insert_remove_contains() {

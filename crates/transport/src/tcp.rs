@@ -9,7 +9,7 @@
 
 use crate::cc::CcAlgorithm;
 use crate::flowcore::{FlowActions, FlowCore, RtoCoalesce, RtoFire};
-use crate::seqops::OooSet;
+use crate::seqops::SeqBitmap;
 use crate::throughput::ThroughputMeter;
 use leo_netsim::{Agent, Context, LinkId, Packet, SimTime};
 
@@ -49,11 +49,8 @@ pub struct TcpSender {
     started: bool,
     /// Reusable action buffer: steady-state ACK handling allocates nothing.
     scratch: FlowActions,
-    /// Fast-path RTO timer coalescer (unused under [`crate::reference_mode`]).
+    /// RTO timer coalescer: one pending physical timer per deadline.
     rto: RtoCoalesce,
-    /// Captured at construction: arm a physical timer per RTO restart
-    /// (pre-rewrite behavior) instead of coalescing.
-    reference: bool,
 }
 
 impl TcpSender {
@@ -68,7 +65,6 @@ impl TcpSender {
             started: false,
             scratch: FlowActions::default(),
             rto: RtoCoalesce::default(),
-            reference: crate::reference_mode(),
         }
     }
 
@@ -139,12 +135,8 @@ impl TcpSender {
     }
 
     fn arm_rto(&mut self, ctx: &mut Context) {
-        // The epoch is bumped in both modes so `FlowCore` state stays
-        // bit-identical between the reference and fast paths.
         let epoch = self.core.arm_rto();
-        if self.reference {
-            ctx.set_timer(self.core.current_rto, epoch);
-        } else if let Some(delay) = self.rto.arm(ctx.now(), self.core.current_rto) {
+        if let Some(delay) = self.rto.arm(ctx.now(), self.core.current_rto) {
             // Only arm a physical timer when no already-scheduled firing
             // covers the new deadline; intermediate restarts ride the
             // existing timer and re-arm the exact remainder on pop.
@@ -181,17 +173,13 @@ impl Agent for TcpSender {
         self.scratch = actions;
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, timer_id: u64) {
-        let epoch = if self.reference {
-            timer_id
-        } else {
-            match self.rto.fire(ctx.now()) {
-                RtoFire::Due => self.core.rto_epoch,
-                RtoFire::Early => return,
-                RtoFire::Rearm(delay) => {
-                    ctx.set_timer(delay, 0);
-                    return;
-                }
+    fn on_timer(&mut self, ctx: &mut Context, _timer_id: u64) {
+        let epoch = match self.rto.fire(ctx.now()) {
+            RtoFire::Due => self.core.rto_epoch,
+            RtoFire::Early => return,
+            RtoFire::Rearm(delay) => {
+                ctx.set_timer(delay, 0);
+                return;
             }
         };
         let mut actions = std::mem::take(&mut self.scratch);
@@ -222,7 +210,7 @@ pub struct TcpReceiver {
     flow: u32,
     ack_link: LinkId,
     rcv_nxt: u64,
-    ooo: OooSet,
+    ooo: SeqBitmap,
     /// Goodput meter (in-order delivery).
     pub meter: ThroughputMeter,
     pub packets_received: u64,
@@ -236,7 +224,7 @@ impl TcpReceiver {
             flow,
             ack_link,
             rcv_nxt: 0,
-            ooo: OooSet::new(),
+            ooo: SeqBitmap::new(),
             meter: ThroughputMeter::new(),
             packets_received: 0,
             next_pkt_id: 1 << 40, // distinct id space from the sender

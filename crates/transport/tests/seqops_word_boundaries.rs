@@ -10,7 +10,7 @@
 //! against a `BTreeSet` oracle after every operation: membership over
 //! the live window, exact cardinality, and insert/remove return values.
 
-use leo_transport::seqops::{OooSet, SeqBitmap};
+use leo_transport::seqops::SeqBitmap;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -123,13 +123,13 @@ proptest! {
         }
     }
 
-    /// The `OooSet` ring backend (the one production runs use) agrees
+    /// The bitmap the endpoints hold as their out-of-order set agrees
     /// with a raw `BTreeSet` driven through the same insert/remove
-    /// discipline — `advance_to` excluded, since the reference backend
-    /// deliberately keeps lazy pre-rewrite semantics there.
+    /// discipline at a fixed base, checking `contains` and `len` after
+    /// every operation.
     #[test]
     fn ooo_set_ring_matches_btreeset(offsets in prop::collection::vec(boundary_offset(), 1..200)) {
-        let mut set = OooSet::Ring(SeqBitmap::new());
+        let mut set = SeqBitmap::new();
         let mut oracle = BTreeSet::new();
         for (i, &off) in offsets.iter().enumerate() {
             if i % 3 == 2 {

@@ -26,13 +26,10 @@ fn render_train(_campaign: &leo_cell::dataset::campaign::Campaign) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = arg_value(&args, "--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05_f64)
+    let scale = parse_arg(&args, "--scale", |s: &f64| s.is_finite())
+        .unwrap_or(0.05)
         .clamp(0.005, 1.0);
-    let seed = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
+    let seed = parse_arg(&args, "--seed", |_: &u64| true).unwrap_or(42);
     let only = arg_value(&args, "--only");
     let metrics_json = arg_value(&args, "--metrics-json");
     if metrics_json.is_some() {
@@ -97,6 +94,20 @@ fn main() {
         } else {
             std::fs::write(&path, &obs_json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             eprintln!("Wrote obs run report to {path}");
+        }
+    }
+}
+
+/// The value after `key` parsed as `T`, or `None` when the flag is
+/// absent. A value that does not parse, or fails `valid`, exits 2 before
+/// any work, naming the flag and the value.
+fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, valid: fn(&T) -> bool) -> Option<T> {
+    let raw = arg_value(args, key)?;
+    match raw.parse() {
+        Ok(v) if valid(&v) => Some(v),
+        _ => {
+            eprintln!("figures: bad value for {key}: {raw:?}");
+            std::process::exit(2);
         }
     }
 }

@@ -22,16 +22,11 @@ use leo_cell::scenario::{builtin, builtin_scenarios, ScenarioRunner, ScenarioSpe
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = arg_value(&args, "--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.02_f64)
+    let scale = parse_arg(&args, "--scale", |s: &f64| s.is_finite())
+        .unwrap_or(0.02)
         .clamp(0.005, 1.0);
-    let seed = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xcafe_2023u64);
-    let threads = arg_value(&args, "--threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(campaign_threads);
+    let seed = parse_arg(&args, "--seed", |_: &u64| true).unwrap_or(0xcafe_2023);
+    let threads = parse_arg(&args, "--threads", |_: &usize| true).unwrap_or_else(campaign_threads);
     let json = args.iter().any(|a| a == "--json");
     let metrics_json = arg_value(&args, "--metrics-json");
     if metrics_json.is_some() {
@@ -91,6 +86,20 @@ fn main() {
         } else {
             std::fs::write(&path, &obs_json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             eprintln!("Wrote obs run report to {path}");
+        }
+    }
+}
+
+/// The value after `key` parsed as `T`, or `None` when the flag is
+/// absent. A value that does not parse, or fails `valid`, exits 2 before
+/// any work, naming the flag and the value.
+fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, valid: fn(&T) -> bool) -> Option<T> {
+    let raw = arg_value(args, key)?;
+    match raw.parse() {
+        Ok(v) if valid(&v) => Some(v),
+        _ => {
+            eprintln!("scenario_sweep: bad value for {key}: {raw:?}");
+            std::process::exit(2);
         }
     }
 }

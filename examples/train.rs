@@ -32,13 +32,9 @@ fn main() {
 
     if has("--train") {
         let cfg = SearchConfig {
-            seed: val("--seed").and_then(|s| s.parse().ok()).unwrap_or(7),
-            generations: val("--generations")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(if quick { 2 } else { 12 }),
-            population: val("--population")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(if quick { 6 } else { 16 }),
+            seed: parse_arg(&args, "--seed").unwrap_or(7),
+            generations: parse_arg(&args, "--generations").unwrap_or(if quick { 2 } else { 12 }),
+            population: parse_arg(&args, "--population").unwrap_or(if quick { 6 } else { 16 }),
             threads,
         };
         let corpus = if quick {
@@ -136,5 +132,20 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("OK: committed artifact beats or ties every baseline");
+    }
+}
+
+/// The value after `key` parsed as `T`, or `None` when the flag is
+/// absent. A value that does not parse exits 2 before any work, naming
+/// the flag and the value.
+fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == key)?;
+    let raw = args.get(i + 1)?;
+    match raw.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            eprintln!("train: bad value for {key}: {raw:?}");
+            std::process::exit(2);
+        }
     }
 }
