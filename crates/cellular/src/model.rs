@@ -109,155 +109,84 @@ impl CellularLinkModel {
         }
     }
 
-    /// Generates aligned downlink and uplink traces for a drive.
+    /// Generates aligned downlink and uplink traces for a drive: the
+    /// one-variant case of
+    /// [`trace_for_drive_variants`](Self::trace_for_drive_variants).
     pub fn trace_for_drive(
         &self,
         samples: &[EnvironmentSample],
         areas: &[AreaType],
     ) -> (LinkTrace, LinkTrace) {
-        assert_eq!(samples.len(), areas.len(), "one area per sample");
-        let label = self.config.carrier.label();
-        let mut down = Vec::with_capacity(samples.len());
-        let mut up = Vec::with_capacity(samples.len());
-        let mut rng = SmallRng::seed_from_u64(
-            self.config.seed
-                ^ self.config.carrier.seed_salt()
-                ^ samples.first().map(|s| s.t_s).unwrap_or(0),
-        );
-        let mut serving: Option<BaseStation> = None;
-        let mut handover_dip = 0u32;
-        let mut nearest = NearestScratch::default();
-        let mut links: Vec<SiteLink> = Vec::with_capacity(4);
-
-        for (sample, &area) in samples.iter().zip(areas) {
-            let segment = sample.travelled_km.floor() as u64;
-            let link_to = |site: BaseStation, d_km: f64| {
-                let sh = shadowing_db(&self.radio, self.config.seed, site.id, segment);
-                SiteLink {
-                    site,
-                    d_km,
-                    rx_dbm: self.radio.rx_power_dbm(d_km, sh),
-                }
-            };
-
-            // 1. Serving-cell selection with hysteresis. Each kept
-            // candidate's distance and rx power serve both the handover
-            // check and the serving link's evaluation.
-            links.clear();
-            links.extend(
-                self.deployment
-                    .nearest_with(&sample.position, 4, &mut nearest)
-                    .iter()
-                    .map(|&(s, d)| link_to(s, d)),
-            );
-            let best = links
-                .iter()
-                .filter(|l| l.d_km <= l.site.rat.range_km())
-                // total_cmp, not partial_cmp().expect(): a NaN rx power
-                // orders deterministically instead of aborting the trace.
-                .max_by(|a, b| a.rx_dbm.total_cmp(&b.rx_dbm))
-                .copied();
-            let current = |cur: BaseStation| {
-                links
-                    .iter()
-                    .find(|l| l.site.id == cur.id)
-                    .copied()
-                    .unwrap_or_else(|| link_to(cur, cur.location.distance_km(&sample.position)))
-            };
-
-            let serving_now = match (serving, best) {
-                (None, Some(b)) => {
-                    serving = Some(b.site);
-                    Some(b)
-                }
-                (Some(cur), Some(b)) => {
-                    let c = current(cur);
-                    let cur_in_range = c.d_km <= cur.rat.range_km();
-                    if !cur_in_range
-                        || (b.site.id != cur.id && b.rx_dbm > c.rx_dbm + self.config.hysteresis_db)
-                    {
-                        // Handover.
-                        serving = Some(b.site);
-                        handover_dip = 1;
-                        Some(b)
-                    } else {
-                        Some(c)
-                    }
-                }
-                (Some(cur), None) => {
-                    let c = current(cur);
-                    if c.d_km <= cur.rat.range_km() {
-                        Some(c)
-                    } else {
-                        serving = None;
-                        None
-                    }
-                }
-                (None, None) => None,
-            };
-
-            let Some(SiteLink { site, d_km, rx_dbm }) = serving_now else {
-                down.push(LinkCondition::OUTAGE);
-                up.push(LinkCondition::OUTAGE);
-                continue;
-            };
-
-            // 2. Radio link evaluation: `sinr_db(d_km, shadow)`, taken
-            // from the rx power already computed.
-            let sinr = rx_dbm - self.radio.noise_floor_dbm;
-
-            // 3. Cell load: slowly varying per (site, 30 s slot).
-            let (lo, hi) = Self::load_band(area);
-            let slot = sample.t_s / 30;
-            let lh = load_hash(self.config.seed, site.id, slot);
-            let load_share = lo + (hi - lo) * lh;
-
-            // 4. Rate with fast fading, handover dips, and weather
-            // attenuation (§3.3: rain/snow affect both network types;
-            // the satellite model applies its own, stronger, factor).
-            let fade = 1.0 + rng.gen_range(-0.12..0.12);
-            let dip = if handover_dip > 0 {
-                handover_dip -= 1;
-                0.5
-            } else {
-                1.0
-            };
-            let weather = sample.weather.cellular_capacity_factor();
-            let capacity_down =
-                (rate_mbps(site.rat, sinr, load_share) * fade * dip * weather).clamp(0.0, 450.0);
-            let capacity_up =
-                (capacity_down * self.config.uplink_ratio * (1.0 + rng.gen_range(-0.15..0.15)))
-                    .clamp(0.0, 60.0);
-
-            // 5. RTT: core network + air-interface scheduling + a small
-            // distance term; loaded urban cells queue a little more.
-            let jitter: f64 = rng.gen_range(3.0..16.0);
-            let load_extra = (1.0 - load_share) * 12.0;
-            let edge_extra = if sinr < 3.0 {
-                rng.gen_range(5.0..25.0)
-            } else {
-                0.0
-            };
-            let rtt =
-                self.config.carrier.core_rtt_ms() + jitter + load_extra + edge_extra + d_km * 0.05;
-
-            // 6. Loss: tiny baseline, worse at the cell edge and during
-            // handover.
-            let edge_loss = if sinr < 0.0 { 0.002 } else { 0.0 };
-            let ho_loss = if dip < 1.0 { 0.008 } else { 0.0 };
-            let loss_down = (self.config.base_loss + edge_loss + ho_loss).clamp(0.0, 1.0);
-            let loss_up = (loss_down * 1.3).clamp(0.0, 1.0);
-
-            down.push(LinkCondition::new(capacity_down, rtt, loss_down));
-            up.push(LinkCondition::new(capacity_up, rtt, loss_up));
-        }
-
-        let start = samples.first().map(|s| s.t_s).unwrap_or(0);
-        (
-            LinkTrace::new(label, start, down),
-            LinkTrace::new(format!("{label}-up"), start, up),
-        )
+        let mut traces = self.trace_for_drive_variants(&[(samples, areas)]);
+        traces.pop().expect("one variant in, one trace pair out")
     }
+
+    /// Traces one drive under several weather and area assignments at
+    /// once, returning one aligned (downlink, uplink) pair per variant.
+    ///
+    /// A variant is a drive's samples under its own weather plus its area
+    /// per sample; every variant must share the first one's times,
+    /// positions and distances. Each second runs the geometry step once
+    /// (serving-cell selection with hysteresis, distance, rx power,
+    /// handover), which reads neither weather nor area and draws no
+    /// random numbers, then the radio step once per variant (load band,
+    /// weather, fading, latency, loss) on that variant's own RNG. Each
+    /// variant's traces are therefore bit-identical to tracing it alone.
+    pub fn trace_for_drive_variants(
+        &self,
+        variants: &[(&[EnvironmentSample], &[AreaType])],
+    ) -> Vec<(LinkTrace, LinkTrace)> {
+        let Some(&(drive, _)) = variants.first() else {
+            return Vec::new();
+        };
+        for &(samples, areas) in variants {
+            assert_eq!(samples.len(), drive.len(), "variants share one drive");
+            assert_eq!(samples.len(), areas.len(), "one area per sample");
+        }
+        let start = drive.first().map(|s| s.t_s).unwrap_or(0);
+        let mut geometry = Geometry::default();
+        let mut radios: Vec<Radio> = variants
+            .iter()
+            .map(|_| Radio::new(&self.config, start, drive.len()))
+            .collect();
+        // The geometry step runs a block of seconds ahead of the radio
+        // steps, so each variant's radio step runs a stretch of seconds
+        // in a row with its own state at hand.
+        let mut servings = Vec::with_capacity(BLOCK_S.min(drive.len()));
+        for (b, block) in drive.chunks(BLOCK_S).enumerate() {
+            let at = b * BLOCK_S..b * BLOCK_S + block.len();
+            servings.clear();
+            servings.extend(block.iter().map(|s| geometry.step(self, s)));
+            for (radio, &(samples, areas)) in radios.iter_mut().zip(variants) {
+                let seconds = samples[at.clone()].iter().zip(&areas[at.clone()]);
+                for (((own, &area), &serving), sample) in seconds.zip(&servings).zip(block) {
+                    debug_assert!(same_place(own, sample), "variants share one drive");
+                    radio.step(self, own, area, serving);
+                }
+            }
+        }
+        let label = self.config.carrier.label();
+        radios
+            .into_iter()
+            .map(|r| {
+                (
+                    LinkTrace::new(label, start, r.down),
+                    LinkTrace::new(format!("{label}-up"), start, r.up),
+                )
+            })
+            .collect()
+    }
+}
+
+/// Seconds of geometry computed ahead of the radio steps.
+const BLOCK_S: usize = 256;
+
+/// Whether two samples are the same second of one drive (weather aside).
+fn same_place(a: &EnvironmentSample, b: &EnvironmentSample) -> bool {
+    a.t_s == b.t_s
+        && a.position.lat_deg.to_bits() == b.position.lat_deg.to_bits()
+        && a.position.lon_deg.to_bits() == b.position.lon_deg.to_bits()
+        && a.travelled_km.to_bits() == b.travelled_km.to_bits()
 }
 
 /// A candidate site's radio terms at one sample.
@@ -266,6 +195,181 @@ struct SiteLink {
     site: BaseStation,
     d_km: f64,
     rx_dbm: f64,
+}
+
+/// One second's geometry: the serving site's radio terms, and whether
+/// the UE handed over to it this second.
+#[derive(Debug, Clone, Copy)]
+struct Serving {
+    link: SiteLink,
+    handover: bool,
+}
+
+/// The geometry step's state: the serving site and the nearest-site
+/// search's scratch.
+#[derive(Default)]
+struct Geometry {
+    serving: Option<BaseStation>,
+    nearest: NearestScratch,
+    links: Vec<SiteLink>,
+}
+
+impl Geometry {
+    /// Serving-cell selection with hysteresis for one second; `None` is
+    /// an outage. Each kept candidate's distance and rx power serve both
+    /// the handover check and the serving link's evaluation.
+    fn step(&mut self, m: &CellularLinkModel, sample: &EnvironmentSample) -> Option<Serving> {
+        let segment = sample.travelled_km.floor() as u64;
+        let link_to = |site: BaseStation, d_km: f64| {
+            let sh = shadowing_db(&m.radio, m.config.seed, site.id, segment);
+            SiteLink {
+                site,
+                d_km,
+                rx_dbm: m.radio.rx_power_dbm(d_km, sh),
+            }
+        };
+
+        let links = &mut self.links;
+        links.clear();
+        links.extend(
+            m.deployment
+                .nearest_with(&sample.position, 4, &mut self.nearest)
+                .iter()
+                .map(|&(s, d)| link_to(s, d)),
+        );
+        let best = links
+            .iter()
+            .filter(|l| l.d_km <= l.site.rat.range_km())
+            // total_cmp, not partial_cmp().expect(): a NaN rx power
+            // orders deterministically instead of aborting the trace.
+            .max_by(|a, b| a.rx_dbm.total_cmp(&b.rx_dbm))
+            .copied();
+        let current = |cur: BaseStation| {
+            links
+                .iter()
+                .find(|l| l.site.id == cur.id)
+                .copied()
+                .unwrap_or_else(|| link_to(cur, cur.location.distance_km(&sample.position)))
+        };
+        let keep = |link| {
+            Some(Serving {
+                link,
+                handover: false,
+            })
+        };
+
+        match (self.serving, best) {
+            (None, Some(b)) => {
+                self.serving = Some(b.site);
+                keep(b)
+            }
+            (Some(cur), Some(b)) => {
+                let c = current(cur);
+                let cur_in_range = c.d_km <= cur.rat.range_km();
+                if !cur_in_range
+                    || (b.site.id != cur.id && b.rx_dbm > c.rx_dbm + m.config.hysteresis_db)
+                {
+                    self.serving = Some(b.site);
+                    Some(Serving {
+                        link: b,
+                        handover: true,
+                    })
+                } else {
+                    keep(c)
+                }
+            }
+            (Some(cur), None) => {
+                let c = current(cur);
+                if c.d_km <= cur.rat.range_km() {
+                    keep(c)
+                } else {
+                    self.serving = None;
+                    None
+                }
+            }
+            (None, None) => None,
+        }
+    }
+}
+
+/// One variant's radio step: its RNG and the traces it builds.
+struct Radio {
+    rng: SmallRng,
+    down: Vec<LinkCondition>,
+    up: Vec<LinkCondition>,
+}
+
+impl Radio {
+    fn new(config: &CellularModelConfig, start_t_s: u64, len: usize) -> Self {
+        Self {
+            rng: SmallRng::seed_from_u64(config.seed ^ config.carrier.seed_salt() ^ start_t_s),
+            down: Vec::with_capacity(len),
+            up: Vec::with_capacity(len),
+        }
+    }
+
+    /// Appends one second's conditions over the serving link.
+    fn step(
+        &mut self,
+        m: &CellularLinkModel,
+        sample: &EnvironmentSample,
+        area: AreaType,
+        serving: Option<Serving>,
+    ) {
+        let Some(Serving {
+            link: SiteLink { site, d_km, rx_dbm },
+            handover,
+        }) = serving
+        else {
+            self.down.push(LinkCondition::OUTAGE);
+            self.up.push(LinkCondition::OUTAGE);
+            return;
+        };
+        let rng = &mut self.rng;
+
+        // Radio link evaluation: `sinr_db(d_km, shadow)`, taken from the
+        // rx power the geometry step computed.
+        let sinr = rx_dbm - m.radio.noise_floor_dbm;
+
+        // Cell load: slowly varying per (site, 30 s slot).
+        let (lo, hi) = CellularLinkModel::load_band(area);
+        let slot = sample.t_s / 30;
+        let lh = load_hash(m.config.seed, site.id, slot);
+        let load_share = lo + (hi - lo) * lh;
+
+        // Rate with fast fading, handover dips, and weather attenuation
+        // (§3.3: rain/snow affect both network types; the satellite model
+        // applies its own, stronger, factor).
+        let fade = 1.0 + rng.gen_range(-0.12..0.12);
+        let dip = if handover { 0.5 } else { 1.0 };
+        let weather = sample.weather.cellular_capacity_factor();
+        let capacity_down =
+            (rate_mbps(site.rat, sinr, load_share) * fade * dip * weather).clamp(0.0, 450.0);
+        let capacity_up =
+            (capacity_down * m.config.uplink_ratio * (1.0 + rng.gen_range(-0.15..0.15)))
+                .clamp(0.0, 60.0);
+
+        // RTT: core network + air-interface scheduling + a small distance
+        // term; loaded urban cells queue a little more.
+        let jitter: f64 = rng.gen_range(3.0..16.0);
+        let load_extra = (1.0 - load_share) * 12.0;
+        let edge_extra = if sinr < 3.0 {
+            rng.gen_range(5.0..25.0)
+        } else {
+            0.0
+        };
+        let rtt = m.config.carrier.core_rtt_ms() + jitter + load_extra + edge_extra + d_km * 0.05;
+
+        // Loss: tiny baseline, worse at the cell edge and during handover.
+        let edge_loss = if sinr < 0.0 { 0.002 } else { 0.0 };
+        let ho_loss = if handover { 0.008 } else { 0.0 };
+        let loss_down = (m.config.base_loss + edge_loss + ho_loss).clamp(0.0, 1.0);
+        let loss_up = (loss_down * 1.3).clamp(0.0, 1.0);
+
+        self.down
+            .push(LinkCondition::new(capacity_down, rtt, loss_down));
+        self.up.push(LinkCondition::new(capacity_up, rtt, loss_up));
+    }
 }
 
 /// Uniform [0,1) hash for cell load, keyed by (seed, site, slot).
@@ -279,6 +383,7 @@ mod tests {
     use leo_geo::drive::{DayPhase, Weather};
     use leo_geo::places::PlaceDb;
     use leo_geo::point::GeoPoint;
+    use proptest::prelude::*;
 
     fn corridor() -> Vec<GeoPoint> {
         vec![
@@ -309,7 +414,8 @@ mod tests {
     }
 
     /// `trace_for_drive` as first written: the oracle selection, with
-    /// distance and shadowing recomputed for every use.
+    /// distance and shadowing recomputed for every use. Every variant of
+    /// a shared drive must match it alone, bit for bit.
     fn trace_for_drive_oracle(
         m: &CellularLinkModel,
         samples: &[EnvironmentSample],
@@ -414,29 +520,74 @@ mod tests {
         )
     }
 
-    /// Asserts `trace_for_drive` equals the oracle bit for bit and
-    /// returns the downlink trace.
-    fn assert_matches_oracle(m: &CellularLinkModel, samples: &[EnvironmentSample]) -> LinkTrace {
-        let areas = vec![AreaType::Suburban; samples.len()];
-        let got = m.trace_for_drive(samples, &areas);
-        let want = trace_for_drive_oracle(m, samples, &areas);
-        for (g, w) in [(&got.0, &want.0), (&got.1, &want.1)] {
-            assert_eq!((&g.label, g.start_t_s), (&w.label, w.start_t_s));
-            let bits = |t: &LinkTrace| -> Vec<[u64; 3]> {
-                t.samples()
-                    .iter()
-                    .map(|c| {
-                        [
-                            c.capacity_mbps.to_bits(),
-                            c.rtt_ms.to_bits(),
-                            c.loss.to_bits(),
-                        ]
-                    })
-                    .collect()
-            };
-            assert_eq!(bits(g), bits(w), "{} differs from the oracle", g.label);
+    /// One drive as three variants: as given over suburban areas, then
+    /// twice with weather and area changing in 45-s blocks hashed from
+    /// `salt`.
+    fn variants(
+        samples: &[EnvironmentSample],
+        salt: u64,
+    ) -> Vec<(Vec<EnvironmentSample>, Vec<AreaType>)> {
+        let weathers = [Weather::Clear, Weather::Rain, Weather::Snow];
+        let mut out = vec![(samples.to_vec(), vec![AreaType::Suburban; samples.len()])];
+        for v in 1..3u64 {
+            let pick = |t: u64| (mix(salt ^ v, t / 45) % 3) as usize;
+            let weathered = samples
+                .iter()
+                .map(|s| EnvironmentSample {
+                    weather: weathers[pick(s.t_s)],
+                    ..*s
+                })
+                .collect();
+            let areas = samples
+                .iter()
+                .map(|s| AreaType::ALL[pick(s.t_s + 20)])
+                .collect();
+            out.push((weathered, areas));
         }
-        got.0
+        out
+    }
+
+    /// Asserts the shared-drive traces of every variant equal the
+    /// oracle's for that variant alone, bit for bit, and returns the
+    /// first variant's downlink.
+    fn assert_variants_match_oracle(
+        m: &CellularLinkModel,
+        variants: &[(Vec<EnvironmentSample>, Vec<AreaType>)],
+    ) -> LinkTrace {
+        let views: Vec<(&[EnvironmentSample], &[AreaType])> =
+            variants.iter().map(|(s, a)| (&s[..], &a[..])).collect();
+        let mut got = m.trace_for_drive_variants(&views);
+        assert_eq!(got.len(), variants.len());
+        let bits = |t: &LinkTrace| -> Vec<[u64; 3]> {
+            t.samples()
+                .iter()
+                .map(|c| {
+                    [
+                        c.capacity_mbps.to_bits(),
+                        c.rtt_ms.to_bits(),
+                        c.loss.to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        for (v, ((samples, areas), got)) in variants.iter().zip(&got).enumerate() {
+            let want = trace_for_drive_oracle(m, samples, areas);
+            for (g, w) in [(&got.0, &want.0), (&got.1, &want.1)] {
+                assert_eq!((&g.label, g.start_t_s), (&w.label, w.start_t_s));
+                assert_eq!(
+                    bits(g),
+                    bits(w),
+                    "{} variant {v} differs from the oracle",
+                    g.label
+                );
+            }
+        }
+        got.swap_remove(0).0
+    }
+
+    /// [`assert_variants_match_oracle`] over [`variants`] of `samples`.
+    fn assert_matches_oracle(m: &CellularLinkModel, samples: &[EnvironmentSample]) -> LinkTrace {
+        assert_variants_match_oracle(m, &variants(samples, 0x5eed))
     }
 
     /// A straight drive from `from` to `to` at `step_km` per second.
@@ -505,6 +656,53 @@ mod tests {
         }
         let down = assert_matches_oracle(&model(Carrier::Verizon), &s);
         assert!(down.samples()[200..215].iter().all(|c| c.is_outage()));
+    }
+
+    /// One model per carrier over the test corridor, built once.
+    fn models() -> &'static [CellularLinkModel] {
+        static MODELS: std::sync::OnceLock<Vec<CellularLinkModel>> = std::sync::OnceLock::new();
+        MODELS.get_or_init(|| Carrier::ALL.iter().map(|&c| model(c)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random straight drives near the corridor, with NaN
+        /// coordinates every `nan_every` seconds: every variant of the
+        /// shared drive equals the oracle, for every carrier.
+        #[test]
+        fn shared_drive_matches_oracle_for_every_variant(
+            carrier in 0usize..3,
+            lat in 41.5..45.0f64,
+            lon in -93.5..-87.5f64,
+            bearing in 0.0..360.0f64,
+            step_km in 0.0..0.15f64,
+            len in 0u64..600,
+            nan_every in 0usize..60,
+            n_variants in 1usize..4,
+            salt in 0u64..u64::MAX,
+        ) {
+            let from = GeoPoint::new(lat, lon);
+            let mut s = drive_between(from, from.destination(bearing, 100.0), step_km, len);
+            if let Some(every) = std::num::NonZeroUsize::new(nan_every) {
+                for (k, sample) in s.iter_mut().step_by(every.get()).enumerate() {
+                    match k % 4 {
+                        0 => sample.position.lat_deg = f64::NAN,
+                        1 => sample.position.lon_deg = f64::NAN,
+                        2 => {
+                            sample.position = GeoPoint {
+                                lat_deg: f64::NAN,
+                                lon_deg: f64::NAN,
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            let mut vs = variants(&s, salt);
+            vs.truncate(n_variants);
+            assert_variants_match_oracle(&models()[carrier], &vs);
+        }
     }
 
     #[test]

@@ -1,12 +1,24 @@
 //! Campaign generation: drive the tour, trace every network, run the
 //! scheduled tests.
 //!
-//! Generation is parallel but deterministic: the per-network traces and
-//! the per-test records each own an RNG seed derived from the campaign
-//! seed (plus the network / test index), so splitting the work across
-//! any number of threads reorders no random draws. `Campaign::generate`
-//! at any `LEO_CAMPAIGN_THREADS` is byte-identical to the sequential
-//! path.
+//! Campaigns that share a seed and a scale share a drive: their configs
+//! differ at most in the weather mix and the area override, and neither
+//! moves the vehicle. A [`CampaignSet`] builds such campaigns together.
+//! It simulates the drive and classifies its areas once, then runs one
+//! job per network. Each job walks the drive once: every second it picks
+//! the serving cell or satellite once (the geometry step, which reads
+//! neither weather nor area and draws no random numbers), then runs the
+//! radio step once per campaign on that campaign's own RNG
+//! (`trace_for_drive_variants` in `leo-cellular` and `leo-orbit`). Each
+//! campaign then runs its scheduled tests. [`Campaign::generate`] is the
+//! one-campaign case.
+//!
+//! Generation is parallel but deterministic: each campaign's per-network
+//! traces and per-test records own an RNG seed derived from its seed
+//! (plus the network / test index), so neither the thread count nor the
+//! other campaigns of its set reorder any random draw. A campaign
+//! generated in a set is byte-identical to generating it alone at any
+//! `LEO_CAMPAIGN_THREADS`.
 
 use crate::record::{DriveRecord, NetworkId, TestKind};
 use crate::summary::DatasetSummary;
@@ -28,6 +40,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, OnceLock, RwLock};
 
 /// Worker threads used by [`Campaign::generate`]: the
 /// `LEO_CAMPAIGN_THREADS` environment variable when set to a positive
@@ -140,6 +153,12 @@ impl CampaignConfig {
     pub fn test_count(&self) -> u32 {
         ((self.tests_at_full_scale as f64 * self.scale).round() as u32).max(5)
     }
+
+    /// Whether campaigns of `self` and `other` drive the same drive: the
+    /// same seed and the same scale, so they can share a [`CampaignSet`].
+    pub fn shares_drive(&self, other: &CampaignConfig) -> bool {
+        self.seed == other.seed && self.scale.to_bits() == other.scale.to_bits()
+    }
 }
 
 /// The generated campaign: the drive, aligned per-network traces, and the
@@ -164,7 +183,8 @@ impl Campaign {
         Self::generate_with_threads(config, campaign_threads())
     }
 
-    /// [`Campaign::generate`] with an explicit worker count.
+    /// [`Campaign::generate`] with an explicit worker count: a
+    /// [`CampaignSet`] of one.
     ///
     /// The result is byte-identical for every `threads` value: each
     /// network trace and each scheduled test derives its own RNG seed
@@ -172,51 +192,10 @@ impl Campaign {
     /// random draws (`deterministic_across_full_pipeline` and
     /// `thread_count_does_not_change_campaign` pin this contract).
     pub fn generate_with_threads(config: CampaignConfig, threads: usize) -> Self {
-        let places = PlaceDb::five_state_corridor();
-        let route = grand_tour(&places, config.scale);
-        let corridor = route.waypoints();
-        let classifier = AreaClassifier::new(places.clone());
-
-        leo_obs::incr("campaign.generations", 1);
-
-        // 1. Drive the tour. Inherently sequential: each second's vehicle
-        //    state depends on the previous one.
-        let drive_span = leo_obs::span("campaign.stage.drive_s");
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-        let plan = DrivePlan::new(route).with_start_hour(8.0);
-        let mut samples = plan.simulate(&mut rng, 60 * 60 * 24 * 14);
-        apply_weather_schedule(&mut samples, config.seed, config.weather);
-        drop(drive_span);
-
-        // 2. Classify areas along the drive (or force one everywhere).
-        let area_span = leo_obs::span("campaign.stage.area_s");
-        let areas: Vec<AreaType> = match config.area_override {
-            Some(area) => vec![area; samples.len()],
-            None => samples
-                .iter()
-                .map(|s| classifier.classify(&s.position))
-                .collect(),
-        };
-        drop(area_span);
-
-        // 3. Trace every network over the same timeline, one job per
-        //    network.
-        let trace_span = leo_obs::span("campaign.stage.trace_s");
-        let traces = trace_all_networks(&config, &places, &corridor, &samples, &areas, threads);
-        drop(trace_span);
-
-        // 4. Schedule and run the tests, one job per test.
-        let tests_span = leo_obs::span("campaign.stage.tests_s");
-        let records = schedule_and_run(&config, &samples, &areas, &traces, threads);
-        drop(tests_span);
-
-        Self {
-            config,
-            samples,
-            areas,
-            traces,
-            records,
-        }
+        let mut campaigns = CampaignSet::new(vec![config]).generate(threads);
+        campaigns
+            .pop()
+            .expect("a set of one generates one campaign")
     }
 
     /// Dataset summary (the §3.3 numbers).
@@ -262,57 +241,233 @@ fn apply_weather_schedule(samples: &mut [EnvironmentSample], seed: u64, mix: Wea
     }
 }
 
-/// Traces all five networks, one executor job per network. Every
-/// network seeds its own model, so which worker traced it is invisible
-/// in the output; the `BTreeMap` then fixes the iteration order.
-fn trace_all_networks(
-    config: &CampaignConfig,
-    places: &PlaceDb,
-    corridor: &[GeoPoint],
-    samples: &[EnvironmentSample],
-    areas: &[AreaType],
-    threads: usize,
-) -> BTreeMap<NetworkId, (LinkTrace, LinkTrace)> {
-    let traced = leo_exec::run_indexed(
-        NetworkId::ALL.len(),
-        threads,
-        "campaign.worker.trace_s",
-        |i| trace_network_timed(NetworkId::ALL[i], config, places, corridor, samples, areas),
-    );
-    NetworkId::ALL.into_iter().zip(traced).collect()
+/// Campaigns that share one drive: configs with one seed and one scale,
+/// which differ at most in their weather mix and area override.
+///
+/// The set simulates the drive and classifies its areas once, the first
+/// time any job needs them. [`trace`](Self::trace) runs one of its
+/// network jobs, which traces that network for every campaign of the set
+/// in one loop over the drive. [`take`](Self::take) hands out one
+/// finished campaign. Jobs may run in any order and on any thread: a job
+/// that needs work nobody has done yet does it, and one that needs work
+/// in progress waits for it. No job's result depends on which ran it.
+/// Each campaign is byte-identical to generating its config alone.
+pub struct CampaignSet {
+    configs: Vec<CampaignConfig>,
+    drive: OnceLock<SharedDrive>,
+    traced: [OnceLock<()>; NetworkId::ALL.len()],
+    traces: Vec<Mutex<BTreeMap<NetworkId, (LinkTrace, LinkTrace)>>>,
 }
 
-/// [`trace_network`] under a per-network span, so an `LEO_OBS=1` run can
-/// break the trace stage down by network (the Starlink models dominate).
-fn trace_network_timed(
-    network: NetworkId,
-    config: &CampaignConfig,
-    places: &PlaceDb,
-    corridor: &[GeoPoint],
-    samples: &[EnvironmentSample],
-    areas: &[AreaType],
-) -> (LinkTrace, LinkTrace) {
-    let name = match network {
+/// What a set's jobs read: the places and the corridor the cellular
+/// deployments are generated over, and each campaign's view of the
+/// drive. A view is moved into its campaign when the campaign is taken.
+struct SharedDrive {
+    places: PlaceDb,
+    corridor: Vec<GeoPoint>,
+    views: Vec<RwLock<DriveView>>,
+}
+
+/// One campaign's view of the shared drive: the samples under its own
+/// weather, and its area per sample.
+#[derive(Default)]
+struct DriveView {
+    samples: Vec<EnvironmentSample>,
+    areas: Vec<AreaType>,
+}
+
+impl CampaignSet {
+    /// Network jobs per set: one per network of [`NetworkId::ALL`].
+    pub const JOBS: usize = NetworkId::ALL.len();
+
+    /// A set over `configs`, in order.
+    ///
+    /// # Panics
+    /// Panics when `configs` is empty or its configs do not share one
+    /// seed and one scale.
+    pub fn new(configs: Vec<CampaignConfig>) -> Self {
+        let first = configs.first().expect("a campaign set needs a campaign");
+        assert!(
+            configs.iter().all(|c| c.shares_drive(first)),
+            "the campaigns of a set must share one seed and one scale"
+        );
+        Self {
+            traces: configs.iter().map(|_| Mutex::default()).collect(),
+            configs,
+            drive: OnceLock::new(),
+            traced: Default::default(),
+        }
+    }
+
+    /// Generates every campaign of the set: the drive, the network jobs
+    /// on `threads` workers (`campaign.stage.trace_s` is the wall clock
+    /// of their fan-out), then each campaign's tests.
+    pub fn generate(self, threads: usize) -> Vec<Campaign> {
+        self.drive();
+        let trace_span = leo_obs::span("campaign.stage.trace_s");
+        leo_exec::run_indexed(Self::JOBS, threads, "campaign.worker.trace_s", |n| {
+            self.run_network_job(n)
+        });
+        drop(trace_span);
+        (0..self.configs.len())
+            .map(|c| self.take(c, threads))
+            .collect()
+    }
+
+    /// Runs network job `n`: traces network `NetworkId::ALL[n]` for every
+    /// campaign of the set, timed in `campaign.stage.trace_s` (the drive
+    /// it may have to simulate first is not). The job runs once; a later
+    /// call returns when it is done.
+    pub fn trace(&self, n: usize) {
+        self.drive();
+        let _stage = leo_obs::span("campaign.stage.trace_s");
+        self.run_network_job(n);
+    }
+
+    /// [`trace`](Self::trace) without the stage timer.
+    fn run_network_job(&self, n: usize) {
+        self.traced[n].get_or_init(|| {
+            let drive = self.drive();
+            let network = NetworkId::ALL[n];
+            // Read locks: every campaign's view, shared with the other
+            // network jobs. Views are written only by `take`, after every
+            // job has finished.
+            let views: Vec<_> = drive
+                .views
+                .iter()
+                .map(|v| v.read().expect("no job panics holding a view"))
+                .collect();
+            let variants: Vec<(&[EnvironmentSample], &[AreaType])> = views
+                .iter()
+                .map(|v| (&v.samples[..], &v.areas[..]))
+                .collect();
+            let _span = leo_obs::span(trace_span(network));
+            let seed = self.configs[0].seed;
+            let traced = trace_network(network, seed, &drive.places, &drive.corridor, &variants);
+            for (slot, pair) in self.traces.iter().zip(traced) {
+                slot.lock()
+                    .expect("no job panics holding a trace slot")
+                    .insert(network, pair);
+            }
+        });
+    }
+
+    /// Takes campaign `c` out of the set: runs whichever network jobs
+    /// have not run yet, then the campaign's tests on `threads` workers.
+    ///
+    /// # Panics
+    /// Panics when campaign `c` was already taken.
+    pub fn take(&self, c: usize, threads: usize) -> Campaign {
+        (0..Self::JOBS).for_each(|n| self.run_network_job(n));
+        let traces = std::mem::take(&mut *self.traces[c].lock().expect("no job panicked"));
+        assert_eq!(
+            traces.len(),
+            Self::JOBS,
+            "campaign {c} of a set is taken once"
+        );
+        let DriveView { samples, areas } = std::mem::take(
+            &mut *self.drive().views[c]
+                .write()
+                .expect("no job panics holding a view"),
+        );
+        let config = self.configs[c].clone();
+        let tests_span = leo_obs::span("campaign.stage.tests_s");
+        let records = schedule_and_run(&config, &samples, &areas, &traces, threads);
+        drop(tests_span);
+        Campaign {
+            config,
+            samples,
+            areas,
+            traces,
+            records,
+        }
+    }
+
+    /// The shared drive, simulated and classified by the first job that
+    /// needs it.
+    fn drive(&self) -> &SharedDrive {
+        self.drive.get_or_init(|| {
+            let first = &self.configs[0];
+            leo_obs::incr("campaign.drives", 1);
+            leo_obs::incr("campaign.generations", self.configs.len() as u64);
+            let places = PlaceDb::five_state_corridor();
+            let route = grand_tour(&places, first.scale);
+            let corridor = route.waypoints();
+
+            // 1. Drive the tour. Inherently sequential: each second's
+            //    vehicle state depends on the previous one. Each campaign
+            //    gets a copy under its own weather.
+            let drive_span = leo_obs::span("campaign.stage.drive_s");
+            let mut rng = SmallRng::seed_from_u64(first.seed);
+            let plan = DrivePlan::new(route).with_start_hour(8.0);
+            let mut samples = vec![plan.simulate(&mut rng, 60 * 60 * 24 * 14)];
+            while samples.len() < self.configs.len() {
+                samples.push(samples[0].clone());
+            }
+            for (s, config) in samples.iter_mut().zip(&self.configs) {
+                apply_weather_schedule(s, config.seed, config.weather);
+            }
+            drop(drive_span);
+
+            // 2. Classify areas along the drive once, for the campaigns
+            //    that do not force one area everywhere.
+            let area_span = leo_obs::span("campaign.stage.area_s");
+            let classified: Option<Vec<AreaType>> = self
+                .configs
+                .iter()
+                .any(|c| c.area_override.is_none())
+                .then(|| {
+                    let classifier = AreaClassifier::new(places.clone());
+                    samples[0]
+                        .iter()
+                        .map(|s| classifier.classify(&s.position))
+                        .collect()
+                });
+            let views = samples
+                .into_iter()
+                .zip(&self.configs)
+                .map(|(samples, config)| {
+                    let areas = match config.area_override {
+                        Some(area) => vec![area; samples.len()],
+                        None => classified
+                            .clone()
+                            .expect("classified when a campaign needs it"),
+                    };
+                    RwLock::new(DriveView { samples, areas })
+                })
+                .collect();
+            drop(area_span);
+            SharedDrive {
+                places,
+                corridor,
+                views,
+            }
+        })
+    }
+}
+
+/// The obs span timing one network's traces, so an `LEO_OBS=1` run can
+/// break the trace stage down by network.
+fn trace_span(network: NetworkId) -> &'static str {
+    match network {
         NetworkId::Att => "campaign.trace.ATT_s",
         NetworkId::TMobile => "campaign.trace.TM_s",
         NetworkId::Verizon => "campaign.trace.VZ_s",
         NetworkId::Roam => "campaign.trace.RM_s",
         NetworkId::Mobility => "campaign.trace.MOB_s",
-    };
-    let _span = leo_obs::span(name);
-    trace_network(network, config, places, corridor, samples, areas)
+    }
 }
 
-/// Builds one network's aligned (downlink, uplink) traces. Pure function
-/// of `(config, world, network)` — the parallel fan-out relies on that.
+/// Builds one network's aligned (downlink, uplink) traces for every
+/// variant of a drive. A pure function of `(seed, world, network,
+/// variants)`; the parallel fan-out relies on that.
 fn trace_network(
     network: NetworkId,
-    config: &CampaignConfig,
+    seed: u64,
     places: &PlaceDb,
     corridor: &[GeoPoint],
-    samples: &[EnvironmentSample],
-    areas: &[AreaType],
-) -> (LinkTrace, LinkTrace) {
+    variants: &[(&[EnvironmentSample], &[AreaType])],
+) -> Vec<(LinkTrace, LinkTrace)> {
     match network {
         NetworkId::Roam | NetworkId::Mobility => {
             let plan = match network {
@@ -320,8 +475,8 @@ fn trace_network(
                 _ => DishPlan::Mobility,
             };
             let mut cfg = StarlinkModelConfig::for_plan(plan);
-            cfg.seed = config.seed ^ 0x5a7e_0000;
-            StarlinkLinkModel::new(cfg).trace_for_drive(samples, areas)
+            cfg.seed = seed ^ 0x5a7e_0000;
+            StarlinkLinkModel::new(cfg).trace_for_drive_variants(variants)
         }
         NetworkId::Att | NetworkId::TMobile | NetworkId::Verizon => {
             let carrier = match network {
@@ -329,10 +484,10 @@ fn trace_network(
                 NetworkId::TMobile => Carrier::TMobile,
                 _ => Carrier::Verizon,
             };
-            let deployment = Deployment::generate(carrier, places, corridor, config.seed ^ 0xce11);
+            let deployment = Deployment::generate(carrier, places, corridor, seed ^ 0xce11);
             let mut cfg = CellularModelConfig::for_carrier(carrier);
-            cfg.seed = config.seed ^ 0xce11_0001;
-            CellularLinkModel::new(cfg, deployment).trace_for_drive(samples, areas)
+            cfg.seed = seed ^ 0xce11_0001;
+            CellularLinkModel::new(cfg, deployment).trace_for_drive_variants(variants)
         }
     }
 }
@@ -639,6 +794,61 @@ mod tests {
             };
             assert_eq!(mix.weather_for(tenth), want, "tenth {tenth}");
         }
+    }
+
+    #[test]
+    fn campaigns_sharing_a_drive_equal_each_generated_alone() {
+        let base = CampaignConfig::small();
+        let configs = vec![
+            base.clone(),
+            CampaignConfig {
+                weather: WeatherMix {
+                    rain_tenths: 10,
+                    snow_tenths: 0,
+                },
+                ..base.clone()
+            },
+            CampaignConfig {
+                area_override: Some(AreaType::Urban),
+                ..base
+            },
+        ];
+        let together = CampaignSet::new(configs.clone()).generate(2);
+        assert_eq!(together.len(), configs.len());
+        // Debug text: `EnvironmentSample` has no `PartialEq`, and `{:?}`
+        // prints every f64 exactly.
+        let text = |c: &Campaign| format!("{:?}", c.samples);
+        assert_ne!(text(&together[0]), text(&together[1]), "weather differs");
+        assert_ne!(together[0].areas, together[2].areas, "areas differ");
+        for (config, got) in configs.into_iter().zip(together) {
+            let alone = Campaign::generate_with_threads(config, 1);
+            assert_eq!(text(&got), text(&alone));
+            assert_eq!(got.areas, alone.areas);
+            assert_eq!(got.traces, alone.traces);
+            assert_eq!(got.records, alone.records);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share one seed and one scale")]
+    fn a_set_rejects_campaigns_on_different_drives() {
+        let base = CampaignConfig::small();
+        let other = CampaignConfig {
+            seed: base.seed ^ 1,
+            ..base.clone()
+        };
+        CampaignSet::new(vec![base, other]);
+    }
+
+    #[test]
+    #[should_panic(expected = "taken once")]
+    fn a_campaign_is_taken_once() {
+        let set = CampaignSet::new(vec![CampaignConfig {
+            scale: 0.005,
+            ..CampaignConfig::default()
+        }]);
+        set.take(0, 1);
+        set.take(0, 1);
     }
 
     #[test]

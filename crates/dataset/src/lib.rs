@@ -23,7 +23,7 @@ pub mod sink;
 pub mod summary;
 pub mod tour;
 
-pub use campaign::{campaign_threads, Campaign, CampaignConfig, WeatherMix};
+pub use campaign::{campaign_threads, Campaign, CampaignConfig, CampaignSet, WeatherMix};
 pub use record::{DriveRecord, NetworkId, TestKind};
 pub use sink::{CountingSink, RecordSink};
 pub use summary::DatasetSummary;

@@ -1,20 +1,24 @@
 //! The scenario sweep runner.
 //!
 //! Takes a matrix of [`ScenarioSpec`]s, executes every scenario against
-//! a shared base campaign, and collects a [`ScenarioReport`]. The sweep
-//! is one list of jobs on the workspace executor
-//! ([`leo_exec::run_indexed`]): the base campaign, one job per scenario,
-//! and the three transfers of every §6 replay, pulled by the workers in
-//! a fixed rank. Every outcome is a pure function of `(base config,
-//! spec)` — the same determinism contract as campaign generation: any
-//! thread count yields a byte-identical report.
+//! its campaign, and collects a [`ScenarioReport`]. Specs without
+//! overrides share the base campaign; every overriding spec gets a
+//! campaign of its own. Campaigns on one drive (one seed and scale) are
+//! built together as a [`CampaignSet`]: one drive, one area
+//! classification and one trace job per network for all of them. The
+//! sweep is one list of jobs on the workspace executor
+//! ([`leo_exec::run_indexed`]): every set's network jobs, one job per
+//! scenario, and the three transfers of every §6 replay, pulled by the
+//! workers in a fixed rank. Every outcome is a pure function of `(base
+//! config, spec)` — the same determinism contract as campaign
+//! generation: any thread count yields a byte-identical report.
 
 use crate::emu::{DegradationPlan, DegradationReport, Leg};
 use crate::library::BASELINE;
 use crate::perturb::apply_all;
 use crate::spec::ScenarioSpec;
 use leo_core::fig9;
-use leo_dataset::campaign::{campaign_threads, Campaign, CampaignConfig};
+use leo_dataset::campaign::{campaign_threads, Campaign, CampaignConfig, CampaignSet};
 use leo_dataset::record::TestKind;
 use leo_link::condition::Direction;
 use serde::{Deserialize, Serialize};
@@ -138,35 +142,80 @@ pub struct ScenarioRunner {
 /// One job of a sweep, in the order [`schedule`] ranks them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Job {
-    /// Generate the shared base campaign.
-    Base,
+    /// Network job `n` of campaign set `set`.
+    Trace(usize, usize),
     /// Measure scenario `s`: its world, metrics and replay plan.
     Scenario(usize),
     /// One transfer of scenario `s`'s §6 replay.
     Transfer(usize, Leg),
 }
 
-/// The sweep's job list. The base comes first, so the calling thread
-/// builds it; then scenarios that regenerate a campaign (they do not
-/// wait for the base), emulating scenarios, their transfers, and the
-/// rest. Ties keep spec order.
-fn schedule(specs: &[ScenarioSpec]) -> Vec<Job> {
+/// The campaigns a sweep builds and the jobs that build and measure
+/// them.
+#[derive(Debug)]
+struct Schedule {
+    /// The configs of each campaign set: campaigns on one drive, in
+    /// order of the first spec that reads each. A set holds the base
+    /// campaign when some spec borrows it, and one campaign per
+    /// overriding spec.
+    sets: Vec<Vec<CampaignConfig>>,
+    /// Each spec's campaign, as (set, campaign in the set).
+    campaigns: Vec<(usize, usize)>,
+    /// The ranked jobs. Network jobs come first: every scenario waits
+    /// on them. Then scenarios with a campaign of their own, emulating
+    /// scenarios, their transfers, and the rest. Ties keep spec order.
+    jobs: Vec<Job>,
+}
+
+/// Plans a sweep of `specs` over `base`. Only campaigns some spec reads
+/// are built: no spec, no job.
+fn schedule(base: &CampaignConfig, specs: &[ScenarioSpec]) -> Schedule {
+    let mut sets: Vec<Vec<CampaignConfig>> = Vec::new();
+    let mut base_at = None;
+    let mut campaigns = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let borrows = spec.overrides.is_empty();
+        if let (true, Some(at)) = (borrows, base_at) {
+            campaigns.push(at);
+            continue;
+        }
+        let config = spec.overrides.apply(base);
+        let set = match sets.iter().position(|set| set[0].shares_drive(&config)) {
+            Some(set) => set,
+            None => {
+                sets.push(Vec::new());
+                sets.len() - 1
+            }
+        };
+        let at = (set, sets[set].len());
+        sets[set].push(config);
+        if borrows {
+            base_at = Some(at);
+        }
+        campaigns.push(at);
+    }
+
     let mut ranked = Vec::new();
+    for set in 0..sets.len() {
+        ranked.extend((0..CampaignSet::JOBS).map(|n| (0, Job::Trace(set, n))));
+    }
     for (s, spec) in specs.iter().enumerate() {
         let rank = match (spec.overrides.is_empty(), spec.emulate) {
-            (false, _) => 0,
-            (true, true) => 1,
-            (true, false) => 3,
+            (false, _) => 1,
+            (true, true) => 2,
+            (true, false) => 4,
         };
         ranked.push((rank, Job::Scenario(s)));
         if spec.emulate {
-            ranked.extend(Leg::ALL.map(|leg| (2, Job::Transfer(s, leg))));
+            ranked.extend(Leg::ALL.map(|leg| (3, Job::Transfer(s, leg))));
         }
     }
     ranked.sort_by_key(|&(rank, _)| rank);
-    std::iter::once(Job::Base)
-        .chain(ranked.into_iter().map(|(_, job)| job))
-        .collect()
+    Schedule {
+        sets,
+        campaigns,
+        jobs: ranked.into_iter().map(|(_, job)| job).collect(),
+    }
 }
 
 /// What a scenario job leaves for the rest of the sweep: the outcome
@@ -203,36 +252,45 @@ impl ScenarioRunner {
 
     /// Runs every scenario and collects the report, in spec order.
     ///
-    /// The base campaign is generated once, single-threaded, by the
-    /// calling thread; scenarios without overrides borrow it (cloning it
-    /// only to perturb it), scenarios with overrides regenerate
-    /// meanwhile on the other workers. An emulating scenario's replay
-    /// runs as three transfer jobs over a small plan its scenario job
-    /// cuts from its campaign. Jobs reach the base and the plans through
-    /// `OnceLock::get_or_init`, so whichever job gets there first does
-    /// the work once, and a producer's panic reaches every consumer
-    /// instead of leaving it waiting. Workers pull jobs in rank order
-    /// from one cursor; since every outcome is a pure function of `(base
-    /// config, spec)`, which worker ran what is invisible in the output
-    /// — `scenario_engine` integration tests pin the byte-identity of
-    /// the JSON report across thread counts.
+    /// The campaigns are built in [`CampaignSet`]s, one per drive, whose
+    /// network jobs lead the job list. A scenario job takes its own
+    /// campaign out of its set, or borrows the shared base campaign
+    /// (cloning it only to perturb it), then perturbs and measures it.
+    /// An emulating scenario's replay runs as three transfer jobs over a
+    /// small plan its scenario job cuts from its campaign. Jobs reach
+    /// shared work through `OnceLock::get_or_init` (the sets' drives and
+    /// network traces, the base campaign, the plans), so whichever job
+    /// gets there first does the work once, and a producer's panic
+    /// reaches every consumer instead of leaving it waiting. The job
+    /// that takes a campaign runs its tests single-threaded. Workers
+    /// pull jobs in rank order from one cursor; since
+    /// every outcome is a pure function of `(base config, spec)`, which
+    /// worker ran what is invisible in the output — `scenario_engine`
+    /// integration tests pin the byte-identity of the JSON report
+    /// across thread counts.
     pub fn run(&self, specs: &[ScenarioSpec]) -> ScenarioReport {
-        let jobs = schedule(specs);
+        let Schedule {
+            sets,
+            campaigns,
+            jobs,
+        } = schedule(&self.base, specs);
+        let sets: Vec<CampaignSet> = sets.into_iter().map(CampaignSet::new).collect();
         let base: OnceLock<Campaign> = OnceLock::new();
         let measured: Vec<OnceLock<Measured>> = specs.iter().map(|_| OnceLock::new()).collect();
-        // Single-threaded inside this call, so the sweep's outcome can
-        // never depend on how the caller's campaign was produced.
-        let base_campaign =
-            || base.get_or_init(|| Campaign::generate_with_threads(self.base.clone(), 1));
         let measure = |s: usize| {
             measured[s].get_or_init(|| {
                 let spec = &specs[s];
-                // Taken before the spans open: waiting for the base is
-                // not this scenario's work.
-                let shared = spec.overrides.is_empty().then(base_campaign);
+                let (set, c) = campaigns[s];
+                // Taken before the spans open: waiting for the shared
+                // drive and its traces is not this scenario's work.
+                let campaign = if spec.overrides.is_empty() {
+                    Cow::Borrowed(base.get_or_init(|| sets[set].take(c, 1)))
+                } else {
+                    Cow::Owned(sets[set].take(c, 1))
+                };
                 leo_obs::incr("scenario.runs", 1);
                 let _spans = run_spans(spec);
-                measure_one(spec, &self.base, shared)
+                measure_one(spec, campaign)
             })
         };
 
@@ -242,8 +300,8 @@ impl ScenarioRunner {
             leo_exec::workers(jobs.len(), self.threads) as f64,
         );
         let job = |j: usize| match jobs[j] {
-            Job::Base => {
-                base_campaign();
+            Job::Trace(set, n) => {
+                sets[set].trace(n);
                 None
             }
             Job::Scenario(s) => {
@@ -286,19 +344,10 @@ impl ScenarioRunner {
     }
 }
 
-/// Materialises one scenario — campaign, perturbations, metrics — and
-/// plans its replay when the spec asks for one. `shared` is the base
-/// campaign for a spec without overrides.
-fn measure_one(spec: &ScenarioSpec, base: &CampaignConfig, shared: Option<&Campaign>) -> Measured {
-    // Borrowed unless the scenario changes the world: a clone of the
-    // paper-scale base campaign is tens of MB per worker.
-    let mut campaign = match shared {
-        Some(c) => Cow::Borrowed(c),
-        None => Cow::Owned(Campaign::generate_with_threads(
-            spec.overrides.apply(base),
-            1,
-        )),
-    };
+/// Materialises one scenario — perturbations, metrics — on its
+/// campaign, and plans its replay when the spec asks for one. A borrowed
+/// campaign is cloned only when the spec perturbs it.
+fn measure_one(spec: &ScenarioSpec, mut campaign: Cow<'_, Campaign>) -> Measured {
     if !spec.perturbations.is_empty() {
         apply_all(campaign.to_mut(), &spec.perturbations);
     }
@@ -400,6 +449,7 @@ mod tests {
     use super::*;
     use crate::library::{builtin, builtin_scenarios};
     use crate::spec::{CampaignOverrides, NetworkSelector, Perturbation, Window};
+    use leo_geo::area::AreaType;
 
     fn tiny_base() -> CampaignConfig {
         CampaignConfig {
@@ -449,15 +499,15 @@ mod tests {
     }
 
     #[test]
-    fn schedule_ranks_regenerations_then_emulations_then_transfers() {
+    fn schedule_ranks_traces_then_own_campaigns_then_emulations_then_transfers() {
         use Job::*;
         // Built-ins: baseline, thunderstorm-front (override), urban-canyon
         // (override), four perturbation-only specs, mptcp-combined (emulate).
-        let jobs = schedule(&builtin_scenarios());
-        assert_eq!(
-            jobs,
-            vec![
-                Base,
+        let base = tiny_base();
+        let plan = schedule(&base, &builtin_scenarios());
+        let traces = (0..CampaignSet::JOBS).map(|n| Trace(0, n));
+        let want: Vec<Job> = traces
+            .chain([
                 Scenario(1),
                 Scenario(2),
                 Scenario(7),
@@ -469,9 +519,83 @@ mod tests {
                 Scenario(4),
                 Scenario(5),
                 Scenario(6),
+            ])
+            .collect();
+        assert_eq!(plan.jobs, want);
+        // One drive: the base and the two overriding campaigns share it.
+        assert_eq!(plan.sets.len(), 1);
+        let set = &plan.sets[0];
+        assert_eq!(set.len(), 3);
+        assert!(set.iter().all(|c| c.shares_drive(&base)));
+        assert_eq!(set[1].weather.rain_tenths, 7);
+        assert_eq!(set[2].area_override, Some(AreaType::Urban));
+        assert_eq!(
+            plan.campaigns,
+            vec![
+                (0, 0),
+                (0, 1),
+                (0, 2),
+                (0, 0),
+                (0, 0),
+                (0, 0),
+                (0, 0),
+                (0, 0)
             ]
         );
-        assert_eq!(schedule(&[]), vec![Base]);
+    }
+
+    #[test]
+    fn schedule_builds_only_the_campaigns_some_spec_reads() {
+        use Job::*;
+        let plan = schedule(&tiny_base(), &[]);
+        assert!(plan.sets.is_empty() && plan.jobs.is_empty());
+
+        // An overriding spec alone: its own campaign, no base.
+        let plan = schedule(&tiny_base(), &[builtin("urban-canyon").unwrap()]);
+        assert_eq!(plan.sets.len(), 1);
+        assert_eq!(plan.sets[0].len(), 1);
+        assert_eq!(plan.sets[0][0].area_override, Some(AreaType::Urban));
+        let want: Vec<Job> = (0..CampaignSet::JOBS)
+            .map(|n| Trace(0, n))
+            .chain([Scenario(0)])
+            .collect();
+        assert_eq!(plan.jobs, want);
+        assert_eq!(plan.campaigns, vec![(0, 0)]);
+    }
+
+    #[test]
+    fn schedule_gives_each_drive_its_own_set() {
+        let seed = ScenarioSpec {
+            overrides: CampaignOverrides {
+                seed: Some(7),
+                ..CampaignOverrides::default()
+            },
+            ..ScenarioSpec::named("other-seed", "another drive")
+        };
+        let scale = ScenarioSpec {
+            overrides: CampaignOverrides {
+                scale: Some(0.02),
+                ..CampaignOverrides::default()
+            },
+            ..ScenarioSpec::named("other-scale", "a longer drive")
+        };
+        let specs = [
+            seed.clone(),
+            builtin(BASELINE).unwrap(),
+            scale,
+            builtin("thunderstorm-front").unwrap(),
+            seed,
+        ];
+        let plan = schedule(&tiny_base(), &specs);
+        assert_eq!(plan.sets.len(), 3);
+        assert_eq!(plan.campaigns, vec![(0, 0), (1, 0), (2, 0), (1, 1), (0, 1)]);
+        assert_eq!(
+            plan.jobs
+                .iter()
+                .filter(|j| matches!(j, Job::Trace(..)))
+                .count(),
+            3 * CampaignSet::JOBS
+        );
     }
 
     fn zero_scale() -> ScenarioSpec {

@@ -170,8 +170,8 @@ pub struct CampaignOverrides {
 }
 
 impl CampaignOverrides {
-    /// Does this override require regenerating the campaign (vs. reusing
-    /// the runner's shared base)?
+    /// Does the spec borrow the runner's shared base campaign, rather
+    /// than need a campaign of its own?
     pub fn is_empty(&self) -> bool {
         *self == CampaignOverrides::default()
     }

@@ -8,6 +8,7 @@
 //! ```
 
 use leo_cell::analysis::stats::mean;
+use leo_cell::cli;
 use leo_cell::core::{campaign, fig10, fig3, fig4, fig5, fig7, fig8, fig9};
 use leo_cell::geo::area::AreaType;
 
@@ -20,12 +21,8 @@ struct Row {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.15_f64)
+    let scale = cli::flag(&args, "--scale", cli::finite)
+        .unwrap_or(0.15)
         .clamp(0.01, 1.0);
     eprintln!("Generating campaign at scale {scale}…");
     let c = campaign(scale, 42);

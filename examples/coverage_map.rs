@@ -7,17 +7,14 @@
 //! ```
 
 use leo_cell::analysis::coverage::CoverageLevel;
+use leo_cell::cli;
 use leo_cell::core::{campaign, fig9};
 use leo_cell::dataset::record::NetworkId;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.1_f64)
+    let scale = cli::flag(&args, "--scale", cli::finite)
+        .unwrap_or(0.1)
         .clamp(0.005, 1.0);
 
     let c = campaign(scale, 5);

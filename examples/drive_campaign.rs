@@ -11,6 +11,7 @@
 //! cargo run --release --example drive_campaign -- --metrics-json metrics.json
 //! ```
 
+use leo_cell::cli;
 use leo_cell::dataset::campaign::{Campaign, CampaignConfig};
 use leo_cell::dataset::io;
 use leo_cell::dataset::record::{NetworkId, TestKind};
@@ -21,17 +22,10 @@ use std::io::{BufWriter, Write};
 
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
-    let arg_value = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let scale = arg_value("--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.1_f64)
+    let scale = cli::flag(&args, "--scale", cli::finite)
+        .unwrap_or(0.1)
         .clamp(0.005, 1.0);
-    let metrics_json = arg_value("--metrics-json");
+    let metrics_json = cli::text(&args, "--metrics-json");
     if metrics_json.is_some() {
         // Force the gate on before the first `enabled()` read caches it.
         std::env::set_var("LEO_OBS", "1");

@@ -12,6 +12,7 @@
 //! cargo run --release --example figures -- --only fig9
 //! ```
 
+use leo_cell::cli;
 use leo_cell::core::{all_figures, campaign, FigureEntry};
 use leo_cell::dataset::campaign::campaign_threads;
 
@@ -26,12 +27,12 @@ fn render_train(_campaign: &leo_cell::dataset::campaign::Campaign) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = parse_arg(&args, "--scale", |s: &f64| s.is_finite())
+    let scale = cli::flag(&args, "--scale", cli::finite)
         .unwrap_or(0.05)
         .clamp(0.005, 1.0);
-    let seed = parse_arg(&args, "--seed", |_: &u64| true).unwrap_or(42);
-    let only = arg_value(&args, "--only");
-    let metrics_json = arg_value(&args, "--metrics-json");
+    let seed = cli::flag(&args, "--seed", cli::any).unwrap_or(42);
+    let only = cli::text(&args, "--only");
+    let metrics_json = cli::text(&args, "--metrics-json");
     if metrics_json.is_some() {
         // Force the gate on before the first `enabled()` read caches it.
         std::env::set_var("LEO_OBS", "1");
@@ -96,25 +97,4 @@ fn main() {
             eprintln!("Wrote obs run report to {path}");
         }
     }
-}
-
-/// The value after `key` parsed as `T`, or `None` when the flag is
-/// absent. A value that does not parse, or fails `valid`, exits 2 before
-/// any work, naming the flag and the value.
-fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, valid: fn(&T) -> bool) -> Option<T> {
-    let raw = arg_value(args, key)?;
-    match raw.parse() {
-        Ok(v) if valid(&v) => Some(v),
-        _ => {
-            eprintln!("figures: bad value for {key}: {raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

@@ -18,6 +18,7 @@
 //! §5 availability ordering — so a correctness regression fails the
 //! bench rather than recording fast-but-wrong numbers.
 
+use leo_cell::cli;
 use leo_cell::dataset::record::NetworkId;
 use leo_cell::fleet::{FleetAggregate, FleetEngine, FleetSpec};
 use leo_cell::geo::area::AreaType;
@@ -42,27 +43,17 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        match a.as_str() {
+        let key = a.as_str();
+        match key {
             "--quick" => {
                 args.quick = true;
                 args.users = 2_000;
             }
-            "--users" => {
-                args.users = it.next().and_then(|v| v.parse().ok()).expect("--users N");
-            }
-            "--session" => {
-                args.session_s = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--session SECONDS");
-            }
-            "--threads" => {
-                args.threads = it.next().and_then(|v| v.parse().ok()).expect("--threads N");
-            }
-            "--out" => {
-                args.out = it.next().expect("--out PATH");
-            }
-            other => panic!("unknown flag {other} (see the example header)"),
+            "--users" => args.users = cli::parse(key, it.next().as_deref(), cli::any),
+            "--session" => args.session_s = cli::parse(key, it.next().as_deref(), cli::any),
+            "--threads" => args.threads = cli::parse(key, it.next().as_deref(), cli::any),
+            "--out" => args.out = cli::parse(key, it.next().as_deref(), cli::any),
+            other => cli::fail(&format!("unknown flag {other} (see the example header)")),
         }
     }
     args

@@ -6,6 +6,7 @@
 //! cargo run --release --example mptcp_emulation -- --window 300
 //! ```
 
+use leo_cell::cli;
 use leo_cell::core::campaign;
 use leo_cell::core::mptcp_emu::{buffer_packets, run_mptcp, run_single_path, BufferTuning};
 use leo_cell::dataset::record::NetworkId;
@@ -13,12 +14,7 @@ use leo_cell::transport::mptcp::SchedulerKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let window: u64 = args
-        .iter()
-        .position(|a| a == "--window")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120);
+    let window = cli::flag(&args, "--window", |w: &u64| *w > 0).unwrap_or(120);
 
     eprintln!("Generating campaign traces…");
     let c = campaign(0.08, 7);

@@ -12,8 +12,10 @@
 //! ```
 //!
 //! The report covers, in one process:
-//! * campaign generation — per-stage wall clock (drive / area / trace /
-//!   tests), per-network trace timings, per-worker busy time;
+//! * campaign generation — drives and campaigns generated, per-stage
+//!   wall clock (drive / area / trace / tests; in a sweep, whose
+//!   network jobs share the workers with other jobs, the trace stage
+//!   sums those jobs), per-network trace timings, per-worker busy time;
 //! * the orbit fast path — searcher rebuild/reuse counts and the plane
 //!   pruning survivor ratio;
 //! * the packet emulator — per-cause drop counters and the queue
@@ -36,6 +38,7 @@
 //!   throughput gauge, driven through a faulted hour so the retry and
 //!   detector paths record too.
 
+use leo_cell::cli;
 use leo_cell::core::mptcp_emu::{run_mptcp_faulted, BufferTuning};
 use leo_cell::dataset::campaign::{Campaign, CampaignConfig};
 use leo_cell::dataset::record::NetworkId;
@@ -48,17 +51,10 @@ use leo_cell::transport::sweep;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let arg_value = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let scale = arg_value("--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.01_f64)
+    let scale = cli::flag(&args, "--scale", cli::finite)
+        .unwrap_or(0.01)
         .clamp(0.005, 1.0);
-    let out = arg_value("--out");
+    let out = cli::text(&args, "--out");
 
     // Force the gate on before the first `enabled()` read caches it.
     std::env::set_var("LEO_OBS", "1");
@@ -180,6 +176,7 @@ fn main() {
     // really flowed through the instrumentation.
     let required_counters = [
         "campaign.generations",
+        "campaign.drives",
         "orbit.searcher.queries",
         "orbit.searcher.rebuilds",
         "orbit.prune.planes_total",

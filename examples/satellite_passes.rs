@@ -10,6 +10,7 @@
 //! cargo run --release --example satellite_passes -- --lat 44.5 --lon -93.0
 //! ```
 
+use leo_cell::cli;
 use leo_cell::geo::point::GeoPoint;
 use leo_cell::orbit::constellation::{Constellation, Shell};
 use leo_cell::orbit::dish::DishPlan;
@@ -17,17 +18,11 @@ use leo_cell::orbit::fastpath::VisibilitySearcher;
 use leo_cell::orbit::ground::eq1_one_way_latency_ms;
 use leo_cell::orbit::passes::{coverage_stats_with, passes_of_with, serving_timeline_with};
 
-fn arg(args: &[String], key: &str, default: f64) -> f64 {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let ground = GeoPoint::new(arg(&args, "--lat", 44.5), arg(&args, "--lon", -93.0));
+    let lat = cli::flag(&args, "--lat", |v: &f64| (-90.0..=90.0).contains(v)).unwrap_or(44.5);
+    let lon = cli::flag(&args, "--lon", |v: &f64| (-180.0..=180.0).contains(v)).unwrap_or(-93.0);
+    let ground = GeoPoint::new(lat, lon);
     let constellation = Constellation::starlink();
     let shell = Shell::starlink_shell1();
 

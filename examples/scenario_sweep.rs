@@ -17,24 +17,25 @@
 //! `ScenarioSpec` values (see EXPERIMENTS.md for the format); they run
 //! after the baseline so the delta columns stay meaningful.
 
+use leo_cell::cli;
 use leo_cell::dataset::campaign::{campaign_threads, CampaignConfig};
 use leo_cell::scenario::{builtin, builtin_scenarios, ScenarioRunner, ScenarioSpec, BASELINE};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = parse_arg(&args, "--scale", |s: &f64| s.is_finite())
+    let scale = cli::flag(&args, "--scale", cli::finite)
         .unwrap_or(0.02)
         .clamp(0.005, 1.0);
-    let seed = parse_arg(&args, "--seed", |_: &u64| true).unwrap_or(0xcafe_2023);
-    let threads = parse_arg(&args, "--threads", |_: &usize| true).unwrap_or_else(campaign_threads);
+    let seed = cli::flag(&args, "--seed", cli::any).unwrap_or(0xcafe_2023);
+    let threads = cli::flag(&args, "--threads", cli::any).unwrap_or_else(campaign_threads);
     let json = args.iter().any(|a| a == "--json");
-    let metrics_json = arg_value(&args, "--metrics-json");
+    let metrics_json = cli::text(&args, "--metrics-json");
     if metrics_json.is_some() {
         // Force the gate on before the first `enabled()` read caches it.
         std::env::set_var("LEO_OBS", "1");
     }
 
-    let mut specs: Vec<ScenarioSpec> = match arg_value(&args, "--spec") {
+    let mut specs: Vec<ScenarioSpec> = match cli::text(&args, "--spec") {
         Some(path) => {
             let text =
                 std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
@@ -48,7 +49,7 @@ fn main() {
         }
         None => builtin_scenarios(),
     };
-    if let Some(only) = arg_value(&args, "--only") {
+    if let Some(only) = cli::text(&args, "--only") {
         if !specs.iter().any(|s| s.name == only) {
             let names: Vec<_> = specs.iter().map(|s| s.name.as_str()).collect();
             eprintln!(
@@ -88,25 +89,4 @@ fn main() {
             eprintln!("Wrote obs run report to {path}");
         }
     }
-}
-
-/// The value after `key` parsed as `T`, or `None` when the flag is
-/// absent. A value that does not parse, or fails `valid`, exits 2 before
-/// any work, naming the flag and the value.
-fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, valid: fn(&T) -> bool) -> Option<T> {
-    let raw = arg_value(args, key)?;
-    match raw.parse() {
-        Ok(v) if valid(&v) => Some(v),
-        _ => {
-            eprintln!("scenario_sweep: bad value for {key}: {raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

@@ -18,6 +18,7 @@
 //! fastest wall of each, so the detector-overhead figure is the delta
 //! between two best-case passes rather than two noise draws.
 
+use leo_cell::cli;
 use leo_cell::scenario::builtin;
 use leo_cell::service::{MeasurementService, ServiceConfig, ServiceReport, CANONICAL_SEED};
 use std::fmt::Write as _;
@@ -43,30 +44,20 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        match a.as_str() {
+        let key = a.as_str();
+        match key {
             "--quick" => {
                 args.quick = true;
                 args.hours = 2;
             }
-            "--hours" => {
-                args.hours = it.next().and_then(|v| v.parse().ok()).expect("--hours H");
-            }
-            "--scenario" => {
-                args.scenario = it.next().expect("--scenario NAME");
-            }
-            "--threads" => {
-                args.threads = it.next().and_then(|v| v.parse().ok()).expect("--threads N");
-            }
-            "--reps" => {
-                args.reps = it.next().and_then(|v| v.parse().ok()).expect("--reps N");
-            }
-            "--out" => {
-                args.out = it.next().expect("--out PATH");
-            }
-            other => panic!("unknown flag {other} (see the example header)"),
+            "--hours" => args.hours = cli::parse(key, it.next().as_deref(), |h| *h >= 1),
+            "--scenario" => args.scenario = cli::parse(key, it.next().as_deref(), cli::any),
+            "--threads" => args.threads = cli::parse(key, it.next().as_deref(), cli::any),
+            "--reps" => args.reps = cli::parse(key, it.next().as_deref(), |r| *r >= 1),
+            "--out" => args.out = cli::parse(key, it.next().as_deref(), cli::any),
+            other => cli::fail(&format!("unknown flag {other} (see the example header)")),
         }
     }
-    assert!(args.hours >= 1 && args.reps >= 1);
     args
 }
 

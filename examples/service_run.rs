@@ -19,6 +19,7 @@
 //! any value (the conformance goldens pin this). `--probes N` truncates
 //! the built-in probe set to its first `N` entries.
 
+use leo_cell::cli;
 use leo_cell::dataset::campaign_threads;
 use leo_cell::scenario::builtin;
 use leo_cell::service::{MeasurementService, ServiceConfig, CANONICAL_SEED};
@@ -47,35 +48,27 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        match a.as_str() {
+        let key = a.as_str();
+        match key {
             "--quick" => args.hours = 1.0,
+            // At most two weeks.
             "--hours" => {
-                args.hours = it.next().and_then(|v| v.parse().ok()).expect("--hours H");
+                args.hours = cli::parse(key, it.next().as_deref(), |h: &f64| {
+                    *h > 0.0 && *h <= 24.0 * 14.0
+                })
             }
-            "--probes" => {
-                args.probes = Some(it.next().and_then(|v| v.parse().ok()).expect("--probes N"));
-            }
-            "--seed" => {
-                args.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed N");
-            }
-            "--scenario" => {
-                args.scenario = it.next().expect("--scenario NAME");
-            }
-            "--threads" => {
-                args.threads = it.next().and_then(|v| v.parse().ok()).expect("--threads N");
-            }
+            "--probes" => args.probes = Some(cli::parse(key, it.next().as_deref(), |n| *n >= 1)),
+            "--seed" => args.seed = cli::parse(key, it.next().as_deref(), cli::any),
+            "--scenario" => args.scenario = cli::parse(key, it.next().as_deref(), cli::any),
+            "--threads" => args.threads = cli::parse(key, it.next().as_deref(), cli::any),
             "--incidents-json" => {
-                args.incidents_json = Some(it.next().expect("--incidents-json PATH"));
+                args.incidents_json = Some(cli::parse(key, it.next().as_deref(), cli::any))
             }
             "--expect-incidents" => args.expect_incidents = true,
             "--expect-silent" => args.expect_silent = true,
-            other => panic!("unknown flag {other} (see the example header)"),
+            other => cli::fail(&format!("unknown flag {other} (see the example header)")),
         }
     }
-    assert!(
-        args.hours > 0.0 && args.hours <= 24.0 * 14.0,
-        "--hours must be in (0, 336]"
-    );
     args
 }
 
@@ -91,7 +84,6 @@ fn main() {
         scenario,
     );
     if let Some(n) = args.probes {
-        assert!(n >= 1, "--probes must keep at least one probe");
         cfg.probes.truncate(n);
     }
 

@@ -15,26 +15,22 @@
 //! cargo run --release --example train -- --check-artifact
 //! ```
 
+use leo_cell::cli;
 use leo_cell::dataset::campaign::campaign_threads;
 use leo_cell::train::{self, artifact::Artifact, eval, search::SearchConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let has = |k: &str| args.iter().any(|a| a == k);
-    let val = |k: &str| {
-        args.iter()
-            .position(|a| a == k)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
     let threads = campaign_threads();
     let quick = has("--quick");
 
     if has("--train") {
+        let (generations, population) = if quick { (2, 6) } else { (12, 16) };
         let cfg = SearchConfig {
-            seed: parse_arg(&args, "--seed").unwrap_or(7),
-            generations: parse_arg(&args, "--generations").unwrap_or(if quick { 2 } else { 12 }),
-            population: parse_arg(&args, "--population").unwrap_or(if quick { 6 } else { 16 }),
+            seed: cli::flag(&args, "--seed", cli::any).unwrap_or(7),
+            generations: cli::flag(&args, "--generations", cli::any).unwrap_or(generations),
+            population: cli::flag(&args, "--population", cli::any).unwrap_or(population),
             threads,
         };
         let corpus = if quick {
@@ -77,7 +73,8 @@ fn main() {
                 .map(|b| (b.name.clone(), b.aggregate))
                 .collect(),
         };
-        let path = val("--out").unwrap_or_else(|| "crates/train/artifact/searched-v1.json".into());
+        let path = cli::text(&args, "--out")
+            .unwrap_or_else(|| "crates/train/artifact/searched-v1.json".into());
         let json = serde_json::to_string_pretty(&artifact).expect("artifact serializes");
         std::fs::write(&path, json + "\n").unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("Wrote {path}");
@@ -132,20 +129,5 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("OK: committed artifact beats or ties every baseline");
-    }
-}
-
-/// The value after `key` parsed as `T`, or `None` when the flag is
-/// absent. A value that does not parse exits 2 before any work, naming
-/// the flag and the value.
-fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
-    let i = args.iter().position(|a| a == key)?;
-    let raw = args.get(i + 1)?;
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("train: bad value for {key}: {raw:?}");
-            std::process::exit(2);
-        }
     }
 }

@@ -26,6 +26,7 @@
 //!   seeded schedule fuzzer guarding all of the above
 //! * [`obs`] — zero-cost-when-off observability: metrics, span timers,
 //!   and JSON run reports (`LEO_OBS=1`)
+//! * [`cli`] — the examples' shared flag parser
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
@@ -45,3 +46,5 @@ pub use leo_scenario as scenario;
 pub use leo_service as service;
 pub use leo_train as train;
 pub use leo_transport as transport;
+
+pub mod cli;

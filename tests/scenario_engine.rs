@@ -19,8 +19,10 @@ fn tiny_base() -> CampaignConfig {
 /// The headline determinism contract: the rendered JSON report is
 /// byte-identical no matter how many workers the sweep uses, over every
 /// job shape of the sweep: the base borrowed as is, a perturbed clone of
-/// it, a regenerated world, the §6 replay on the base, and a replay on a
-/// world of its own (override, perturbation and emulation in one spec).
+/// it, campaigns of their own on the base's drive (a weather override
+/// with perturbations, an area override), the §6 replay on the base, a
+/// world of its own on another seed's drive (override, perturbation and
+/// emulation in one spec), and another scale's drive.
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
     let own_world = ScenarioSpec {
@@ -36,13 +38,22 @@ fn report_is_byte_identical_across_thread_counts() {
         networks: NetworkSelector::Starlink,
         capacity_factor: 0.7,
     });
+    let longer_drive = ScenarioSpec {
+        overrides: CampaignOverrides {
+            scale: Some(0.015),
+            ..CampaignOverrides::default()
+        },
+        ..ScenarioSpec::named("longer-drive", "a drive of its own at another scale")
+    };
     let specs = vec![
         builtin(BASELINE).expect("baseline"),
+        builtin("thunderstorm-front").expect("builtin"),
         builtin("urban-canyon").expect("builtin"),
         builtin("carrier-outage").expect("builtin"),
         builtin("handover-storm").expect("builtin"),
         builtin("mptcp-combined").expect("builtin"),
         own_world,
+        longer_drive,
     ];
     let sequential = ScenarioRunner::new(tiny_base()).with_threads(1).run(&specs);
     for threads in [2, 3, 4, 16] {
