@@ -2,7 +2,9 @@
 //!
 //! Composes random pipe stacks (Const/Trace base, optional fault and
 //! jitter wrappers), random fault schedules, and random transport
-//! workloads; drives them deterministically; and asserts every
+//! workloads of every kind the transfer builder runs (UDP, one TCP
+//! connection, parallel TCP, two-path MPTCP); drives them
+//! deterministically; and asserts every
 //! registered invariant after every step. A violation panics with the
 //! case seed and a copy-pasteable reproduction command, so any failure
 //! found in CI replays locally in milliseconds.
@@ -11,12 +13,12 @@ use crate::invariant::{audit_invariants, check_all, pipe_invariants};
 use leo_exec::{splitmix64, unit_seed};
 use leo_link::mahimahi::MahimahiTrace;
 use leo_netsim::{
-    CalendarQueue, ConstPipe, FaultPipe, FaultSchedule, JitterPipe, LinkId, Pipe, PipeStats,
-    SimTime, Simulator, TracePipe,
+    CalendarQueue, ConstPipe, FaultPipe, FaultSchedule, JitterPipe, Pipe, PipeStats, SimTime,
+    TracePipe,
 };
 use leo_transport::cc::CcAlgorithm;
-use leo_transport::tcp::{TcpConfig, TcpReceiver, TcpSender};
-use leo_transport::udp::{UdpBlaster, UdpSink};
+use leo_transport::mptcp::{LeoGuard, SchedulerKind};
+use leo_transport::transfer::{self, Endpoints, Path, TransferOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -95,8 +97,7 @@ struct PipeCase {
 }
 
 /// Builds a random Const/Trace base with optional Fault and Jitter
-/// wrappers. `allow_reorder` gates the delay-adding features so the TCP
-/// sub-case can stay within its RTO budget.
+/// wrappers.
 fn random_stack(rng: &mut SmallRng) -> PipeCase {
     let delay = SimTime::from_millis(rng.gen_range(0..=100));
     let queue = rng.gen_range(3_000..=1_000_000u64);
@@ -272,16 +273,13 @@ pub fn run_case(seed: u64) -> CaseReport {
     }
 
     // --- Layer 2: a transport workload for a subset of seeds. ---
+    report.transport = true;
     match rng.gen_range(0..8u32) {
-        0 | 1 => {
-            run_udp_case(seed, &mut rng);
-            report.transport = true;
-        }
-        2 => {
-            run_tcp_case(seed, &mut rng);
-            report.transport = true;
-        }
-        _ => {}
+        0 | 1 => run_udp_case(seed, &mut rng),
+        2 => run_tcp_case(seed, &mut rng),
+        3 => run_mptcp_case(seed, &mut rng),
+        4 => run_parallel_tcp_case(seed, &mut rng),
+        _ => report.transport = false,
     }
     report
 }
@@ -291,55 +289,39 @@ pub fn run_case(seed: u64) -> CaseReport {
 fn run_udp_case(seed: u64, rng: &mut SmallRng) {
     let case = random_stack(rng);
     let secs = rng.gen_range(2..=6u64);
-    let rate = rng.gen_range(1.0..100.0);
-    let mut sim = Simulator::new(splitmix64(seed ^ 0xdeb5));
-    let sink = sim.add_node(Box::new(UdpSink::new(1)));
-    let blaster = sim.add_node(Box::new(UdpBlaster::new(
-        1,
-        LinkId(0),
-        rate,
-        SimTime::from_secs(secs),
-    )));
-    sim.add_link(Box::new(case.pipe), sink);
-    sim.with_agent(blaster, |a, ctx| {
-        a.as_any_mut()
-            .downcast_mut::<UdpBlaster>()
-            .expect("blaster")
-            .start(ctx)
-    });
-    sim.run_until(SimTime::from_secs(secs + 2));
-    let audit = sim.audit();
-    if let Some(v) = check_all(&audit_invariants(), &audit).first() {
-        fail!(seed, "udp sim: {v}");
-    }
-    let sent = sim.agent_as::<UdpBlaster>(blaster).packets_sent;
-    let sink = sim.agent_as::<UdpSink>(sink);
-    let stats = audit.links[0];
-    if stats.offered_packets != sent {
+    let blast = Endpoints::Udp {
+        rate_mbps: rng.gen_range(1.0..100.0),
+        blast_s: secs,
+    };
+    let path = Path::one_way(case.pipe);
+    let out = transfer::run(splitmix64(seed ^ 0xdeb5), blast, vec![path], secs + 2);
+    check_transfer(seed, "udp", &out, 1);
+    let stats = out.audit.links[0];
+    if stats.offered_packets != out.udp_sent {
         fail!(
             seed,
-            "udp sim: pipe saw {} offers, blaster sent {sent}",
-            stats.offered_packets
+            "udp sim: pipe saw {} offers, blaster sent {}",
+            stats.offered_packets,
+            out.udp_sent
         );
     }
-    if sink.packets_received > stats.delivered_packets {
+    if out.udp_received > stats.delivered_packets {
         fail!(
             seed,
             "udp sim: sink received {} of {} admitted packets",
-            sink.packets_received,
+            out.udp_received,
             stats.delivered_packets
         );
     }
-    let loss = sink.loss_rate();
+    let loss = out.udp_loss_rate();
     if !(0.0..=1.0).contains(&loss) {
         fail!(seed, "udp sim: loss rate {loss} outside [0, 1]");
     }
 }
 
-/// TCP download over a lossy constant pipe: goodput must stay within the
-/// data pipe's deliveries, and the completed run must audit clean.
-fn run_tcp_case(seed: u64, rng: &mut SmallRng) {
-    let secs = rng.gen_range(3..=8u64);
+/// A lossy constant data pipe and the clean ACK pipe back, as the TCP
+/// cases draw them.
+fn lossy_path(rng: &mut SmallRng) -> Path {
     let data = ConstPipe::new(
         rng.gen_range(1.0..100.0),
         SimTime::from_millis(rng.gen_range(1..=50)),
@@ -347,34 +329,67 @@ fn run_tcp_case(seed: u64, rng: &mut SmallRng) {
         rng.gen_range(30_000..=500_000u64),
     );
     let ack = ConstPipe::new(100.0, SimTime::from_millis(10), 0.0, 1 << 22);
-    let mut sim = Simulator::new(splitmix64(seed ^ 0x7c9));
-    let sender = sim.add_node(Box::new(TcpSender::new(TcpConfig {
-        flow: 1,
+    Path::new(Box::new(data), Box::new(ack))
+}
+
+/// TCP download over a lossy constant pipe.
+fn run_tcp_case(seed: u64, rng: &mut SmallRng) {
+    let secs = rng.gen_range(3..=8u64);
+    let tcp = Endpoints::Tcp {
         cc: CcAlgorithm::Cubic,
         rwnd_packets: 1 << 16,
-        data_link: LinkId(0),
-        limit_packets: None,
-    })));
-    let receiver = sim.add_node(Box::new(TcpReceiver::new(1, LinkId(1))));
-    sim.add_link(Box::new(data), receiver);
-    sim.add_link(Box::new(ack), sender);
-    sim.with_agent(sender, |a, ctx| {
-        a.as_any_mut()
-            .downcast_mut::<TcpSender>()
-            .expect("sender")
-            .start(ctx)
-    });
-    sim.run_until(SimTime::from_secs(secs));
-    let audit = sim.audit();
-    if let Some(v) = check_all(&audit_invariants(), &audit).first() {
-        fail!(seed, "tcp sim: {v}");
+    };
+    let out = transfer::run(splitmix64(seed ^ 0x7c9), tcp, vec![lossy_path(rng)], secs);
+    check_transfer(seed, "tcp", &out, 1);
+}
+
+/// Two-path MPTCP download over lossy constant pipes, under a random
+/// scheduler, congestion controller, coupling and receive buffer.
+fn run_mptcp_case(seed: u64, rng: &mut SmallRng) {
+    let secs = rng.gen_range(3..=8u64);
+    let scheduler = SchedulerKind::ALL[rng.gen_range(0..SchedulerKind::ALL.len())];
+    let ccs = [CcAlgorithm::Reno, CcAlgorithm::Cubic, CcAlgorithm::BbrLite];
+    let mptcp = Endpoints::Mptcp {
+        cc: ccs[rng.gen_range(0..ccs.len())],
+        coupled: rng.gen_bool(0.5),
+        scheduler,
+        buffer_packets: rng.gen_range(32..=16_384u64),
+        leo_guard: (scheduler == SchedulerKind::LeoAware).then(LeoGuard::starlink_default),
+        plugins: Default::default(),
+    };
+    let paths = vec![lossy_path(rng), lossy_path(rng)];
+    let out = transfer::run(splitmix64(seed ^ 0x3b7c), mptcp, paths, secs);
+    check_transfer(seed, "mptcp", &out, 2);
+}
+
+/// iPerf `-P 2..4`: parallel TCP connections sharing one lossy constant
+/// pipe through flow demuxes.
+fn run_parallel_tcp_case(seed: u64, rng: &mut SmallRng) {
+    let secs = rng.gen_range(3..=8u64);
+    let tcp = Endpoints::DemuxedTcp {
+        n: rng.gen_range(2..=4),
+        cc: CcAlgorithm::Cubic,
+        rwnd_packets: 4096,
+    };
+    let out = transfer::run(splitmix64(seed ^ 0x9a7), tcp, vec![lossy_path(rng)], secs);
+    check_transfer(seed, "parallel tcp", &out, 1);
+}
+
+/// The completed run must audit clean, and its receivers cannot have
+/// delivered more than the `data_pipes` (the first links) carried.
+fn check_transfer(seed: u64, kind: &str, out: &TransferOutcome, data_pipes: usize) {
+    if let Some(v) = check_all(&audit_invariants(), &out.audit).first() {
+        fail!(seed, "{kind} sim: {v}");
     }
-    let goodput = sim.agent_as::<TcpReceiver>(receiver).meter.total_bytes();
-    if goodput > audit.links[0].delivered_bytes {
+    let goodput: u64 = out.receivers.iter().map(|r| r.delivered_bytes).sum();
+    let carried: u64 = out.audit.links[..data_pipes]
+        .iter()
+        .map(|s| s.delivered_bytes)
+        .sum();
+    if goodput > carried {
         fail!(
             seed,
-            "tcp sim: receiver delivered {goodput} bytes, the data pipe only carried {}",
-            audit.links[0].delivered_bytes
+            "{kind} sim: receivers delivered {goodput} bytes, the data pipes only carried {carried}"
         );
     }
 }

@@ -12,8 +12,11 @@
 use crate::digest::{digest_text, DigestLine, Fnv64};
 use crate::invariant::{campaign_invariants, check_all, report_invariants, Violation};
 use leo_core::all_figures;
-use leo_dataset::campaign::CampaignConfig;
+use leo_dataset::campaign::{Campaign, CampaignConfig};
+use leo_dataset::record::NetworkId;
 use leo_link::trace::LinkTrace;
+use leo_measure::iperf::{Engine, IperfConfig, IperfProtocol, IperfRunner};
+use leo_netsim::FaultSchedule;
 use leo_scenario::library::builtin_scenarios;
 use leo_scenario::runner::ScenarioRunner;
 use std::path::PathBuf;
@@ -154,7 +157,51 @@ pub fn compute_digests() -> Vec<DigestLine> {
         &service.run().canonical(),
     ));
 
+    // 7. Packet-level iPerf, the one transfer path no other line runs:
+    //    UDP and demuxed TCP (`-P 1`, `-P 4`).
+    out.push(digest_iperf_packet_level(campaign));
+
     out
+}
+
+/// UDP, TCP `-P 1` and TCP `-P 4` over a 30-s window of the canonical
+/// campaign's MOB and ATT downlinks, each once clean and once under an
+/// outage plus a loss burst. The Debug form hashes every f64 bit of each
+/// report and every counter of its audit.
+fn digest_iperf_packet_level(campaign: &Campaign) -> DigestLine {
+    const SPAN_S: u64 = 30;
+    let t0 = leo_core::fig10::select_windows(campaign, 1, SPAN_S)[0];
+    let faulted = FaultSchedule::new().outage_s(8, 12).loss_s(18, 24, 0.3);
+    let mut h = Fnv64::new();
+    let (mut count, mut sum) = (0, 0.0);
+    for network in [NetworkId::Mobility, NetworkId::Att] {
+        let window = campaign.traces[&network].0.window(t0, t0 + SPAN_S);
+        for protocol in [
+            IperfProtocol::Udp,
+            IperfProtocol::Tcp { parallel: 1 },
+            IperfProtocol::Tcp { parallel: 4 },
+        ] {
+            for faults in [FaultSchedule::new(), faulted.clone()] {
+                let cfg = IperfConfig {
+                    protocol,
+                    ..IperfConfig::udp_down()
+                }
+                .with_engine(Engine::PacketLevel)
+                .with_faults(faults);
+                let (report, audit) =
+                    IperfRunner::new(cfg).run_packet_level_audited(window.samples());
+                h.write_str(&format!("{report:?} {audit:?}"));
+                count += report.per_second_mbps.len() as u64;
+                sum += report.mean_mbps;
+            }
+        }
+    }
+    DigestLine {
+        name: "measure.iperf-packet-level".to_string(),
+        count,
+        sum,
+        fnv: h.finish(),
+    }
 }
 
 /// Runs the full invariant suite over the same canonical artifacts the

@@ -18,12 +18,10 @@
 
 use leo_link::mahimahi::MahimahiTrace;
 use leo_link::trace::LinkTrace;
-use leo_netsim::{
-    ConstPipe, FaultPipe, FaultSchedule, LinkId, NodeId, PipeStats, SimTime, Simulator, TracePipe,
-};
+use leo_netsim::{ConstPipe, FaultSchedule, PipeStats, SimTime, TracePipe};
 use leo_transport::cc::CcAlgorithm;
-use leo_transport::mptcp::{MptcpConfig, MptcpReceiver, MptcpSender, SchedulerKind};
-use leo_transport::tcp::{TcpConfig, TcpReceiver, TcpSender};
+use leo_transport::mptcp::{LeoGuard, SchedulerKind};
+use leo_transport::transfer::{self, faulted, Endpoints, Path, TransferOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Receive-buffer regime.
@@ -58,6 +56,16 @@ impl EmulationResult {
             link_stats: Vec::new(),
         }
     }
+
+    fn from_outcome(mut out: TransferOutcome) -> Self {
+        let r = out.receivers.remove(0);
+        EmulationResult {
+            mean_mbps: r.mean_mbps,
+            per_second_mbps: r.per_second_mbps,
+            delivered_bytes: r.delivered_bytes,
+            link_stats: out.audit.links,
+        }
+    }
 }
 
 fn mean_capacity(trace: &LinkTrace) -> f64 {
@@ -80,15 +88,8 @@ pub fn buffer_packets(tuning: BufferTuning, a: &LinkTrace, b: &LinkTrace) -> u64
 }
 
 /// Flushes per-subflow sender state into the obs registry after an MPTCP
-/// run. Only called when `LEO_OBS=1`; reads the sender through the same
-/// downcast the result extraction uses, so the run itself is untouched.
-fn flush_mptcp_obs(
-    sim: &Simulator,
-    sender: NodeId,
-    scheduler: SchedulerKind,
-    link_stats: &[PipeStats],
-) {
-    let snd = sim.agent_as::<MptcpSender>(sender);
+/// run. Only called when `LEO_OBS=1`, from the outcome the run returned.
+fn flush_mptcp_obs(out: &TransferOutcome, scheduler: SchedulerKind) {
     leo_obs::incr("mptcp.runs", 1);
     let sched = match scheduler {
         SchedulerKind::RoundRobin => "mptcp.scheduler.round_robin.runs",
@@ -98,47 +99,46 @@ fn flush_mptcp_obs(
         SchedulerKind::LeoAware => "mptcp.scheduler.leo_aware.runs",
     };
     leo_obs::incr(sched, 1);
-    let counters = snd.subflow_counters().zip(snd.subflow_timeouts());
-    for (i, ((sent, retx), timeouts)) in counters.enumerate() {
-        leo_obs::incr(&format!("mptcp.subflow.{i}.packets_sent"), sent);
-        leo_obs::incr(&format!("mptcp.subflow.{i}.retransmissions"), retx);
-        leo_obs::incr(&format!("mptcp.subflow.{i}.timeouts"), timeouts);
-        // LinkId convention: data pipes are links 0/1, subflow order.
+    // Subflow `i` sends over data pipe `i`, which is link `i`.
+    for (i, (s, link)) in out.senders.iter().zip(&out.audit.links).enumerate() {
+        leo_obs::incr(&format!("mptcp.subflow.{i}.packets_sent"), s.packets_sent);
+        leo_obs::incr(
+            &format!("mptcp.subflow.{i}.retransmissions"),
+            s.retransmissions,
+        );
+        leo_obs::incr(&format!("mptcp.subflow.{i}.timeouts"), s.timeouts);
         leo_obs::incr(
             &format!("mptcp.subflow.{i}.bytes_delivered"),
-            link_stats[i].delivered_bytes,
+            link.delivered_bytes,
         );
     }
-    for s in snd.subflow_srtts() {
-        leo_obs::observe("mptcp.subflow.srtt_ms", s * 1e3);
+    for s in &out.senders {
+        leo_obs::observe("mptcp.subflow.srtt_ms", s.srtt_s * 1e3);
     }
-    leo_obs::observe("mptcp.retx_rate", snd.retransmission_rate());
+    leo_obs::observe("mptcp.retx_rate", out.retransmission_rate());
 }
 
-fn pipes_for(trace: &LinkTrace, queue_slack: u64) -> Option<(TracePipe, ConstPipe, SimTime)> {
+/// The replay's path over `trace`: the capacity series replayed as a
+/// Mahimahi data pipe (no loss series: MpShell replays bandwidth and
+/// latency from the UDP traces; channel loss is not part of the emulation,
+/// see module docs) under `faults`, and a constant ACK pipe back. `None`
+/// when the trace carries no capacity at all.
+fn path_for(trace: &LinkTrace, faults: &FaultSchedule) -> Option<Path> {
     let caps = trace.capacity_series();
     let mm = MahimahiTrace::from_capacity_series(&caps);
     if mm.is_empty() {
         return None;
     }
     let one_way = SimTime::from_secs_f64(mean_rtt_ms(trace) / 2.0 / 1e3);
-    let queue = (mean_capacity(trace) * 1e6 / 8.0 * mean_rtt_ms(trace) / 1e3) as u64 + queue_slack;
-    // No loss series: MpShell replays bandwidth + latency from the UDP
-    // traces; channel loss is not part of the emulation (see module docs).
-    let data = TracePipe::new(mm, one_way, queue);
+    let queue = (mean_capacity(trace) * 1e6 / 8.0 * mean_rtt_ms(trace) / 1e3) as u64 + 60_000;
+    let data = faulted(TracePipe::new(mm, one_way, queue), faults.clone());
     let ack = ConstPipe::new(mean_capacity(trace).max(10.0), one_way, 0.0, 1 << 22);
-    Some((data, ack, one_way))
+    Some(Path::new(data, Box::new(ack)))
 }
 
 /// Downloads for the traces' duration over a single path with CUBIC.
 pub fn run_single_path(trace: &LinkTrace, seed: u64) -> EmulationResult {
-    run_single_path_cc(trace, seed, CcAlgorithm::Cubic)
-}
-
-/// Downloads over a single path with an explicit congestion controller —
-/// the CC-ablation entry point (CUBIC vs. BBR-lite).
-pub fn run_single_path_cc(trace: &LinkTrace, seed: u64, cc: CcAlgorithm) -> EmulationResult {
-    run_single_path_impl(trace, seed, cc, &FaultSchedule::new())
+    run_single_path_faulted(trace, seed, &FaultSchedule::new())
 }
 
 /// [`run_single_path`] with a scheduled-fault overlay on the data path —
@@ -148,61 +148,17 @@ pub fn run_single_path_faulted(
     seed: u64,
     faults: &FaultSchedule,
 ) -> EmulationResult {
-    run_single_path_impl(trace, seed, CcAlgorithm::Cubic, faults)
-}
-
-fn run_single_path_impl(
-    trace: &LinkTrace,
-    seed: u64,
-    cc: CcAlgorithm,
-    faults: &FaultSchedule,
-) -> EmulationResult {
     let secs = trace.duration_s();
-    let Some((data_pipe, ack_pipe, _)) = pipes_for(trace, 60_000) else {
+    let Some(path) = path_for(trace, faults) else {
         return EmulationResult::empty(secs);
     };
-    // An empty schedule makes FaultPipe bit-transparent (no extra RNG
-    // draws), so fault-free callers are unaffected by the wrapping.
-    let data_pipe = FaultPipe::new(data_pipe, faults.clone());
-    let mut sim = Simulator::new(seed);
-    let sender = sim.add_node(Box::new(TcpSender::new(TcpConfig {
-        flow: 1,
-        cc,
+    let endpoints = Endpoints::Tcp {
+        cc: CcAlgorithm::Cubic,
         rwnd_packets: 1 << 16,
-        data_link: LinkId(0),
-        limit_packets: None,
-    })));
-    let receiver = sim.add_node(Box::new(TcpReceiver::new(1, LinkId(1))));
-    sim.add_link(Box::new(data_pipe), receiver);
-    sim.add_link(Box::new(ack_pipe), sender);
-    sim.with_agent(sender, |a, ctx| {
-        a.as_any_mut()
-            .downcast_mut::<TcpSender>()
-            .expect("sender")
-            .start(ctx)
-    });
-    sim.run_until(SimTime::from_secs(secs));
+    };
+    let out = transfer::run(seed, endpoints, vec![path], secs);
     leo_obs::incr("tcp.single_path.runs", 1);
-    let link_stats = sim.audit().links;
-    let r = sim.agent_as::<TcpReceiver>(receiver);
-    let delivered_bytes = r.meter.total_bytes();
-    if leo_netsim::strict_checks() {
-        // Goodput cannot exceed what the data pipe physically carried.
-        assert!(
-            delivered_bytes <= link_stats[0].delivered_bytes,
-            "single-path goodput {} exceeds data-pipe delivery {}",
-            delivered_bytes,
-            link_stats[0].delivered_bytes
-        );
-    }
-    let mut series = r.meter.series_mbps();
-    series.resize(secs as usize, 0.0);
-    EmulationResult {
-        mean_mbps: r.meter.mean_mbps_over(SimTime::from_secs(secs)),
-        per_second_mbps: series,
-        delivered_bytes,
-        link_stats,
-    }
+    EmulationResult::from_outcome(out)
 }
 
 /// Downloads over MPTCP across two aligned traces.
@@ -238,68 +194,24 @@ pub fn run_mptcp_faulted(
         "traces must be timestamp-aligned"
     );
     let secs = trace_a.duration_s();
-    let buffer = buffer_packets(tuning, trace_a, trace_b);
-    let pa = pipes_for(trace_a, 60_000);
-    let pb = pipes_for(trace_b, 60_000);
-    match (pa, pb) {
-        (Some((da, aa, _)), Some((db, ab, _))) => {
-            let da = FaultPipe::new(da, faults_a.clone());
-            let db = FaultPipe::new(db, faults_b.clone());
-            let mut sim = Simulator::new(seed);
-            let sender = sim.add_node(Box::new(MptcpSender::new(MptcpConfig {
-                flow: 10,
+    match (path_for(trace_a, faults_a), path_for(trace_b, faults_b)) {
+        (Some(a), Some(b)) => {
+            let endpoints = Endpoints::Mptcp {
                 cc: CcAlgorithm::Cubic,
                 coupled: true,
                 scheduler,
-                recv_buffer_packets: buffer,
-                subflow_links: vec![LinkId(0), LinkId(1)],
-                limit_packets: None,
+                buffer_packets: buffer_packets(tuning, trace_a, trace_b),
                 // By convention `trace_a` is the satellite path; the
                 // LEO-aware scheduler gets the Starlink reconfiguration
                 // clock for it.
-                leo_guard: (scheduler == SchedulerKind::LeoAware)
-                    .then(leo_transport::mptcp::LeoGuard::starlink_default),
+                leo_guard: (scheduler == SchedulerKind::LeoAware).then(LeoGuard::starlink_default),
                 plugins: Default::default(),
-            })));
-            let receiver = sim.add_node(Box::new(MptcpReceiver::new(
-                10,
-                vec![LinkId(2), LinkId(3)],
-                buffer,
-            )));
-            sim.add_link(Box::new(da), receiver);
-            sim.add_link(Box::new(db), receiver);
-            sim.add_link(Box::new(aa), sender);
-            sim.add_link(Box::new(ab), sender);
-            sim.with_agent(sender, |a, ctx| {
-                a.as_any_mut()
-                    .downcast_mut::<MptcpSender>()
-                    .expect("sender")
-                    .start(ctx)
-            });
-            sim.run_until(SimTime::from_secs(secs));
-            let link_stats = sim.audit().links;
+            };
+            let out = transfer::run(seed, endpoints, vec![a, b], secs);
             if leo_obs::enabled() {
-                flush_mptcp_obs(&sim, sender, scheduler, &link_stats);
+                flush_mptcp_obs(&out, scheduler);
             }
-            let r = sim.agent_as::<MptcpReceiver>(receiver);
-            let delivered_bytes = r.meter.total_bytes();
-            if leo_netsim::strict_checks() {
-                // The MPTCP aggregate can never exceed the sum of what the
-                // two subflow data pipes (LinkId 0 and 1) delivered.
-                let subflow_sum = link_stats[0].delivered_bytes + link_stats[1].delivered_bytes;
-                assert!(
-                    delivered_bytes <= subflow_sum,
-                    "MPTCP goodput {delivered_bytes} exceeds subflow deliveries {subflow_sum}"
-                );
-            }
-            let mut series = r.meter.series_mbps();
-            series.resize(secs as usize, 0.0);
-            EmulationResult {
-                mean_mbps: r.meter.mean_mbps_over(SimTime::from_secs(secs)),
-                per_second_mbps: series,
-                delivered_bytes,
-                link_stats,
-            }
+            EmulationResult::from_outcome(out)
         }
         // One path entirely dead: MPTCP degenerates to the live path
         // (still under that path's scheduled faults).

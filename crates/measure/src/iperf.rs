@@ -37,12 +37,9 @@
 use leo_link::condition::{Direction, LinkCondition};
 use leo_link::mahimahi::MahimahiTrace;
 use leo_link::trace::LinkTrace;
-use leo_netsim::{
-    ConstPipe, FaultPipe, FaultSchedule, LinkId, PipeStats, SimTime, Simulator, TracePipe,
-};
+use leo_netsim::{ConstPipe, FaultSchedule, PipeStats, SimTime, TracePipe};
 use leo_transport::cc::CcAlgorithm;
-use leo_transport::parallel::{install_with_demux, ParallelTcp};
-use leo_transport::udp::{UdpBlaster, UdpSink};
+use leo_transport::transfer::{self, faulted, Endpoints, Path};
 use serde::{Deserialize, Serialize};
 
 /// Which transport the test drives.
@@ -158,7 +155,9 @@ pub struct IperfReport {
     pub per_second_mbps: Vec<f64>,
     /// Mean over the run, Mbps.
     pub mean_mbps: f64,
-    /// Retransmission rate (TCP) or loss rate (UDP).
+    /// Retransmission rate (TCP: retransmitted over sent packets) or loss
+    /// rate (UDP). The packet-level UDP loss is `1 − received / sent`, so
+    /// a datagram still in flight when the test ends counts as lost.
     pub retrans_rate: f64,
 }
 
@@ -334,81 +333,51 @@ impl IperfRunner {
         let queue_bytes = (mean_cap * 1e6 / 8.0 * (mean_rtt_ms / 1e3)) as u64 + 60_000;
 
         // The fault schedule wraps the data path only (a mid-path failure
-        // between sender and bottleneck); an empty schedule is exactly
-        // transparent, bit-for-bit.
-        let faults = self.config.faults.clone();
-        let data_pipe = move || -> Box<dyn leo_netsim::Pipe> {
-            Box::new(FaultPipe::new(
-                TracePipe::new(trace, one_way, queue_bytes).with_loss_series(losses),
-                faults,
-            ))
-        };
-
-        match self.config.protocol {
+        // between sender and bottleneck).
+        let data = faulted(
+            TracePipe::new(trace, one_way, queue_bytes).with_loss_series(losses),
+            self.config.faults.clone(),
+        );
+        let (endpoints, path) = match self.config.protocol {
             IperfProtocol::Udp => {
-                let mut sim = Simulator::new(self.config.seed);
-                let sink = sim.add_node(Box::new(UdpSink::new(1)));
-                let blaster = sim.add_node(Box::new(UdpBlaster::new(
-                    1,
-                    LinkId(0),
-                    (mean_cap * 1.3).max(1.0),
-                    SimTime::from_secs(duration_s),
-                )));
-                sim.add_link(data_pipe(), sink);
-                sim.with_agent(blaster, |a, ctx| {
-                    a.as_any_mut()
-                        .downcast_mut::<UdpBlaster>()
-                        .expect("blaster")
-                        .start(ctx)
-                });
-                sim.run_until(SimTime::from_secs(duration_s));
-                let audit = IperfAudit {
-                    link_stats: sim.audit().links,
-                    packets_sent: sim.agent_as::<UdpBlaster>(blaster).packets_sent,
-                    packets_received: sim.agent_as::<UdpSink>(sink).packets_received,
-                };
-                let s = sim.agent_as::<UdpSink>(sink);
-                let series = pad_series(s.meter.series_mbps(), conditions.len());
-                let loss = s.loss_rate();
-                (IperfReport::from_series(series, loss), audit)
+                let rate_mbps = (mean_cap * 1.3).max(1.0);
+                (
+                    Endpoints::Udp {
+                        rate_mbps,
+                        blast_s: duration_s,
+                    },
+                    Path::one_way(data),
+                )
             }
             IperfProtocol::Tcp { parallel } => {
-                let mut sim = Simulator::new(self.config.seed);
-                let n = parallel.max(1) as usize;
-                let handles: ParallelTcp =
-                    install_with_demux(&mut sim, n, self.config.cc, 4096, data_pipe, || {
-                        Box::new(ConstPipe::new(mean_cap.max(10.0), one_way, 0.0, 1 << 22))
-                    });
-                handles.start_all(&mut sim);
-                sim.run_until(SimTime::from_secs(duration_s));
-                let mut series = vec![0.0; conditions.len()];
-                for &r in &handles.receivers {
-                    let m = sim
-                        .agent_as::<leo_transport::tcp::TcpReceiver>(r)
-                        .meter
-                        .series_mbps();
-                    for (i, v) in m.into_iter().enumerate() {
-                        if i < series.len() {
-                            series[i] += v;
-                        }
-                    }
-                }
-                let retrans = handles.aggregate_retransmission_rate(&sim);
-                let audit = IperfAudit {
-                    link_stats: sim.audit().links,
-                    packets_sent: 0,
-                    packets_received: 0,
+                let tcp = Endpoints::DemuxedTcp {
+                    n: parallel.max(1) as usize,
+                    cc: self.config.cc,
+                    rwnd_packets: 4096,
                 };
-                (IperfReport::from_series(series, retrans), audit)
+                let ack = ConstPipe::new(mean_cap.max(10.0), one_way, 0.0, 1 << 22);
+                (tcp, Path::new(data, Box::new(ack)))
+            }
+        };
+        let out = transfer::run(self.config.seed, endpoints, vec![path], duration_s);
+        let loss = match self.config.protocol {
+            IperfProtocol::Udp => out.udp_loss_rate(),
+            IperfProtocol::Tcp { .. } => out.retransmission_rate(),
+        };
+        // The parallel receivers' series summed in flow order.
+        let mut series = vec![0.0; conditions.len()];
+        for r in &out.receivers {
+            for (sum, v) in series.iter_mut().zip(&r.per_second_mbps) {
+                *sum += v;
             }
         }
+        let audit = IperfAudit {
+            link_stats: out.audit.links,
+            packets_sent: out.udp_sent,
+            packets_received: out.udp_received,
+        };
+        (IperfReport::from_series(series, loss), audit)
     }
-}
-
-fn pad_series(mut s: Vec<f64>, len: usize) -> Vec<f64> {
-    s.resize(len, 0.0);
-    s.truncate(len);
-    s
 }
 
 #[cfg(test)]

@@ -111,6 +111,29 @@ fn udp_full_outage_zeroes_report_and_counters_in_lockstep() {
     assert_eq!(stats.dropped_fault, audit.packets_sent);
     assert_eq!(stats.dropped_random + stats.dropped_queue, 0);
     assert!(stats.is_conserved());
+    // Nothing arrived, so everything sent was lost.
+    assert_eq!(report.retrans_rate, 1.0);
+}
+
+#[test]
+fn udp_tail_outage_counts_datagrams_lost_after_the_last_arrival() {
+    // The outage runs to the end of the test: no datagram arrives after
+    // it starts, so no sequence gap can reveal those losses. The report
+    // must still count every one of them.
+    let conditions = flat(8, 30.0, 40.0, 0.0);
+    let cfg = IperfConfig::udp_down()
+        .with_engine(Engine::PacketLevel)
+        .with_faults(FaultSchedule::new().outage_s(4, 8));
+    let (report, audit) = IperfRunner::new(cfg).run_packet_level_audited(&conditions);
+
+    let stats = audit.link_stats[0];
+    assert!(stats.dropped_fault > 0, "outage window never fired");
+    let fault_share = stats.dropped_fault as f64 / audit.packets_sent as f64;
+    assert!(
+        report.retrans_rate >= fault_share,
+        "reported loss {} below the outage's share {fault_share} of datagrams sent",
+        report.retrans_rate
+    );
 }
 
 #[test]

@@ -14,13 +14,13 @@
 use crate::corpus;
 use crate::dna::Dna;
 use crate::searched::plugins_for;
-use leo_netsim::{ConstPipe, FaultPipe, LinkId, SimTime, Simulator};
 use leo_transport::cc::CcAlgorithm;
-use leo_transport::mptcp::{MptcpConfig, MptcpReceiver, MptcpSender, SchedulerKind};
+use leo_transport::mptcp::SchedulerKind;
 use leo_transport::plugin::TransportPlugins;
 use leo_transport::sweep::{
     run_transfer, run_transfer_with, run_units, unit_seed, SweepScenario, SweepUnit,
 };
+use leo_transport::transfer::{self, Endpoints};
 use serde::{Deserialize, Serialize};
 
 /// The fixed evaluation seed (`b"train-v1"`): part of the artifact's
@@ -167,47 +167,18 @@ pub fn eval_candidates(dnas: &[&Dna], corpus: &[SweepScenario], threads: usize) 
 }
 
 /// One path of `sc` run alone under CUBIC — the single-path TCP the
-/// paper's §6 compares MPTCP against.
+/// paper's §6 compares MPTCP against, as an uncoupled one-subflow MPTCP.
 fn run_single_path(sc: &SweepScenario, path: usize, seed: u64) -> f64 {
-    let p = sc.paths[path];
-    let mut sim = Simulator::new(seed);
-    let sender = sim.add_node(Box::new(MptcpSender::new(MptcpConfig {
-        flow: 10,
+    let endpoints = Endpoints::Mptcp {
         cc: CcAlgorithm::Cubic,
         coupled: false,
         scheduler: SchedulerKind::MinRtt,
-        recv_buffer_packets: sc.buffer_packets,
-        subflow_links: vec![LinkId(0)],
-        limit_packets: None,
+        buffer_packets: sc.buffer_packets,
         leo_guard: None,
         plugins: TransportPlugins::default(),
-    })));
-    let receiver = sim.add_node(Box::new(MptcpReceiver::new(
-        10,
-        vec![LinkId(1)],
-        sc.buffer_packets,
-    )));
-    let q = ((p.rate_mbps * 1e6 / 8.0) * (2.0 * p.delay_ms as f64 / 1e3)) as u64 + 50_000;
-    let sched = p.fault_schedule(sc.duration_s);
-    let data = ConstPipe::new(p.rate_mbps, SimTime::from_millis(p.delay_ms), p.loss, q);
-    let ack = ConstPipe::new(p.rate_mbps, SimTime::from_millis(p.delay_ms), 0.0, q);
-    if sched.is_empty() {
-        sim.add_link(Box::new(data), receiver);
-        sim.add_link(Box::new(ack), sender);
-    } else {
-        sim.add_link(Box::new(FaultPipe::new(data, sched.clone())), receiver);
-        sim.add_link(Box::new(FaultPipe::new(ack, sched)), sender);
-    }
-    sim.with_agent(sender, |a, ctx| {
-        a.as_any_mut()
-            .downcast_mut::<MptcpSender>()
-            .unwrap()
-            .start(ctx)
-    });
-    sim.run_until(SimTime::from_secs(sc.duration_s));
-    sim.agent_as::<MptcpReceiver>(receiver)
-        .meter
-        .mean_mbps_over(SimTime::from_secs(sc.duration_s))
+    };
+    let path = sc.paths[path].transfer_path(sc.duration_s);
+    transfer::run(seed, endpoints, vec![path], sc.duration_s).receivers[0].mean_mbps
 }
 
 /// Best-single-path goodput per scenario: each path run alone, max

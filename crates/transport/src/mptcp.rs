@@ -27,6 +27,7 @@ use crate::flowcore::{FlowActions, FlowCore, RtoCoalesce, RtoFire};
 use crate::plugin::{SchedView, SubflowView, TransportPlugins};
 use crate::seqops::SeqBitmap;
 use crate::throughput::ThroughputMeter;
+use crate::transfer::SenderStats;
 use leo_netsim::{Agent, Context, LinkId, Packet};
 use std::collections::VecDeque;
 
@@ -128,24 +129,6 @@ impl LeoGuard {
     }
 }
 
-impl MptcpConfig {
-    /// Bulk transfer over the given subflow links with BLEST and a tuned
-    /// (large) receive buffer.
-    pub fn bulk(flow: u32, subflow_links: Vec<LinkId>) -> Self {
-        Self {
-            flow,
-            cc: CcAlgorithm::Cubic,
-            coupled: true,
-            scheduler: SchedulerKind::Blest,
-            recv_buffer_packets: 16_384,
-            subflow_links,
-            limit_packets: None,
-            leo_guard: None,
-            plugins: TransportPlugins::default(),
-        }
-    }
-}
-
 /// Per-subflow sender state: a [`FlowCore`] plus its link.
 struct Subflow {
     link: LinkId,
@@ -183,7 +166,7 @@ pub struct MptcpSender {
 }
 
 impl MptcpSender {
-    /// Creates a sender; start it via `Simulator::with_agent`.
+    /// Creates a sender; [`crate::transfer::run`] starts it.
     pub fn new(cfg: MptcpConfig) -> Self {
         assert!(
             !cfg.subflow_links.is_empty(),
@@ -245,33 +228,15 @@ impl MptcpSender {
         }
     }
 
-    /// Per-subflow (sent, retransmitted) counts, in subflow order.
-    /// Borrowing iterator — `collect()` if you need a `Vec`.
-    pub fn subflow_counters(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.subflows
-            .iter()
-            .map(|s| (s.core.packets_sent, s.core.retransmissions))
-    }
-
-    /// Per-subflow RTO-timeout counts, in subflow order.
-    pub fn subflow_timeouts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.subflows.iter().map(|s| s.core.timeouts)
-    }
-
-    /// Per-subflow smoothed RTTs in seconds, in subflow order.
-    pub fn subflow_srtts(&self) -> impl Iterator<Item = f64> + '_ {
-        self.subflows.iter().map(|s| s.core.srtt_s())
-    }
-
-    /// Aggregate retransmission rate.
-    pub fn retransmission_rate(&self) -> f64 {
-        let sent: u64 = self.subflows.iter().map(|s| s.core.packets_sent).sum();
-        let retx: u64 = self.subflows.iter().map(|s| s.core.retransmissions).sum();
-        if sent == 0 {
-            0.0
-        } else {
-            retx as f64 / sent as f64
-        }
+    /// Per-subflow packets sent, retransmissions, RTO events and smoothed
+    /// RTT, in subflow order.
+    pub(crate) fn subflow_stats(&self) -> impl Iterator<Item = SenderStats> + '_ {
+        self.subflows.iter().map(|s| SenderStats {
+            packets_sent: s.core.packets_sent,
+            retransmissions: s.core.retransmissions,
+            timeouts: s.core.timeouts,
+            srtt_s: s.core.srtt_s(),
+        })
     }
 
     /// Connection-level send window remaining, packets.
@@ -741,7 +706,8 @@ impl Agent for MptcpReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leo_netsim::{ConstPipe, NodeId, SimTime, Simulator};
+    use crate::transfer::{self, Endpoints, TransferOutcome};
+    use leo_netsim::{ConstPipe, SimTime, Simulator};
 
     /// One emulated path's parameters.
     struct Path {
@@ -757,7 +723,7 @@ mod tests {
         scheduler: SchedulerKind,
         buffer: u64,
         secs: u64,
-    ) -> (f64, Simulator, NodeId, NodeId) {
+    ) -> (f64, TransferOutcome) {
         run_mptcp_with(p0, p1, scheduler, buffer, secs, TransportPlugins::default())
     }
 
@@ -769,56 +735,29 @@ mod tests {
         buffer: u64,
         secs: u64,
         plugins: TransportPlugins,
-    ) -> (f64, Simulator, NodeId, NodeId) {
-        let (r0, d0, loss0) = (p0.rate, p0.delay_ms, p0.loss);
-        let (r1, d1, loss1) = (p1.rate, p1.delay_ms, p1.loss);
-        let mut sim = Simulator::new(77);
-        let sender = sim.add_node(Box::new(MptcpSender::new(MptcpConfig {
-            flow: 10,
+    ) -> (f64, TransferOutcome) {
+        let mptcp = Endpoints::Mptcp {
             cc: CcAlgorithm::Cubic,
             coupled: true,
             scheduler,
-            recv_buffer_packets: buffer,
-            subflow_links: vec![LinkId(0), LinkId(1)],
-            limit_packets: None,
+            buffer_packets: buffer,
             leo_guard: None,
             plugins,
-        })));
-        let receiver = sim.add_node(Box::new(MptcpReceiver::new(
-            10,
-            vec![LinkId(2), LinkId(3)],
-            buffer,
-        )));
-        let q0 = ((r0 * 1e6 / 8.0) * (2.0 * d0 as f64 / 1e3)) as u64 + 50_000;
-        let q1 = ((r1 * 1e6 / 8.0) * (2.0 * d1 as f64 / 1e3)) as u64 + 50_000;
-        sim.add_link(
-            Box::new(ConstPipe::new(r0, SimTime::from_millis(d0), loss0, q0)),
-            receiver,
-        );
-        sim.add_link(
-            Box::new(ConstPipe::new(r1, SimTime::from_millis(d1), loss1, q1)),
-            receiver,
-        );
-        sim.add_link(
-            Box::new(ConstPipe::new(r0, SimTime::from_millis(d0), 0.0, q0)),
-            sender,
-        );
-        sim.add_link(
-            Box::new(ConstPipe::new(r1, SimTime::from_millis(d1), 0.0, q1)),
-            sender,
-        );
-        sim.with_agent(sender, |a, ctx| {
-            a.as_any_mut()
-                .downcast_mut::<MptcpSender>()
-                .unwrap()
-                .start(ctx)
-        });
-        sim.run_until(SimTime::from_secs(secs));
-        let goodput = sim
-            .agent_as::<MptcpReceiver>(receiver)
-            .meter
-            .mean_mbps_over(SimTime::from_secs(secs));
-        (goodput, sim, sender, receiver)
+        };
+        let paths = vec![p0.pipes(), p1.pipes()];
+        let out = transfer::run(77, mptcp, paths, secs);
+        (out.receivers[0].mean_mbps, out)
+    }
+
+    impl Path {
+        /// The data pipe with the path's loss and a lossless ACK pipe, both
+        /// queued to 2× the BDP.
+        fn pipes(&self) -> transfer::Path {
+            let q = ((self.rate * 1e6 / 8.0) * (2.0 * self.delay_ms as f64 / 1e3)) as u64 + 50_000;
+            let pipe =
+                |loss| ConstPipe::new(self.rate, SimTime::from_millis(self.delay_ms), loss, q);
+            transfer::Path::new(Box::new(pipe(self.loss)), Box::new(pipe(0.0)))
+        }
     }
 
     #[test]
@@ -853,7 +792,7 @@ mod tests {
         // cursor is advanced by `try_send` after every pick. With two
         // identical paths a broken cursor degenerates to one subflow,
         // so require both subflows to carry a fair share of the data.
-        let (goodput, sim, sender, _) = run_mptcp(
+        let (goodput, out) = run_mptcp(
             Path {
                 rate: 50.0,
                 delay_ms: 20,
@@ -868,11 +807,7 @@ mod tests {
             16_384,
             10,
         );
-        let counters: Vec<(u64, u64)> = sim
-            .agent_as::<MptcpSender>(sender)
-            .subflow_counters()
-            .collect();
-        let sent: Vec<u64> = counters.iter().map(|&(s, _)| s).collect();
+        let sent: Vec<u64> = out.senders.iter().map(|s| s.packets_sent).collect();
         let total: u64 = sent.iter().sum();
         assert!(total > 0, "round-robin sent nothing");
         for (i, &s) in sent.iter().enumerate() {
@@ -903,7 +838,7 @@ mod tests {
         // space: built-in MinRtt stays on subflow 0, and a plug-in that
         // takes the highest-index subflow must move the load to 1.
         let subflow1_sent = |plugins: TransportPlugins| {
-            let (_, sim, sender, _) = run_mptcp_with(
+            let (_, out) = run_mptcp_with(
                 Path {
                     rate: 50.0,
                     delay_ms: 10,
@@ -919,11 +854,7 @@ mod tests {
                 5,
                 plugins,
             );
-            let counters: Vec<(u64, u64)> = sim
-                .agent_as::<MptcpSender>(sender)
-                .subflow_counters()
-                .collect();
-            counters[1].0
+            out.senders[1].packets_sent
         };
         let builtin = subflow1_sent(TransportPlugins::default());
         let plugged = subflow1_sent(
@@ -1113,21 +1044,37 @@ mod tests {
 
     #[test]
     fn receiver_buffer_never_overfills() {
-        let (_, sim, _, receiver) = run_mptcp(
-            Path {
-                rate: 200.0,
-                delay_ms: 5,
-                loss: 0.0,
-            },
-            Path {
-                rate: 10.0,
-                delay_ms: 150,
-                loss: 0.0,
-            },
-            SchedulerKind::RoundRobin,
+        let mut sim = Simulator::new(77);
+        let sender = sim.add_node(Box::new(MptcpSender::new(MptcpConfig {
+            flow: 10,
+            cc: CcAlgorithm::Cubic,
+            coupled: true,
+            scheduler: SchedulerKind::RoundRobin,
+            recv_buffer_packets: 32,
+            subflow_links: vec![LinkId(0), LinkId(1)],
+            limit_packets: None,
+            leo_guard: None,
+            plugins: TransportPlugins::default(),
+        })));
+        let receiver = sim.add_node(Box::new(MptcpReceiver::new(
+            10,
+            vec![LinkId(2), LinkId(3)],
             32,
-            8,
-        );
+        )));
+        let q0 = ((200.0 * 1e6 / 8.0) * (2.0 * 5.0 / 1e3)) as u64 + 50_000;
+        let q1 = ((10.0 * 1e6 / 8.0) * (2.0 * 150.0 / 1e3)) as u64 + 50_000;
+        let (fast, slow) = (SimTime::from_millis(5), SimTime::from_millis(150));
+        sim.add_link(Box::new(ConstPipe::new(200.0, fast, 0.0, q0)), receiver);
+        sim.add_link(Box::new(ConstPipe::new(10.0, slow, 0.0, q1)), receiver);
+        sim.add_link(Box::new(ConstPipe::new(200.0, fast, 0.0, q0)), sender);
+        sim.add_link(Box::new(ConstPipe::new(10.0, slow, 0.0, q1)), sender);
+        sim.with_agent(sender, |a, ctx| {
+            a.as_any_mut()
+                .downcast_mut::<MptcpSender>()
+                .unwrap()
+                .start(ctx)
+        });
+        sim.run_until(SimTime::from_secs(8));
         let rx = sim.agent_as::<MptcpReceiver>(receiver);
         assert!(
             rx.advertised_window() <= 32,
@@ -1140,42 +1087,24 @@ mod tests {
     fn lia_is_less_aggressive_than_uncoupled() {
         // Two identical paths: coupled total transfer ≤ uncoupled.
         let run = |coupled: bool| {
-            let mut sim = Simulator::new(9);
-            let sender = sim.add_node(Box::new(MptcpSender::new(MptcpConfig {
-                flow: 10,
+            let mptcp = Endpoints::Mptcp {
                 cc: CcAlgorithm::Reno,
                 coupled,
                 scheduler: SchedulerKind::RoundRobin,
-                recv_buffer_packets: 16_384,
-                subflow_links: vec![LinkId(0), LinkId(1)],
-                limit_packets: None,
+                buffer_packets: 16_384,
                 leo_guard: None,
                 plugins: TransportPlugins::default(),
-            })));
-            let receiver = sim.add_node(Box::new(MptcpReceiver::new(
-                10,
-                vec![LinkId(2), LinkId(3)],
-                16_384,
-            )));
-            for dst in [receiver, receiver, sender, sender] {
-                sim.add_link(
-                    Box::new(ConstPipe::new(
-                        30.0,
-                        SimTime::from_millis(40),
-                        0.003,
-                        1 << 19,
-                    )),
-                    dst,
-                );
-            }
-            sim.with_agent(sender, |a, ctx| {
-                a.as_any_mut()
-                    .downcast_mut::<MptcpSender>()
-                    .unwrap()
-                    .start(ctx)
-            });
-            sim.run_until(SimTime::from_secs(20));
-            sim.agent_as::<MptcpReceiver>(receiver).meter.total_bytes()
+            };
+            let pipe = || -> Box<dyn leo_netsim::Pipe> {
+                Box::new(ConstPipe::new(
+                    30.0,
+                    SimTime::from_millis(40),
+                    0.003,
+                    1 << 19,
+                ))
+            };
+            let paths = (0..2).map(|_| transfer::Path::new(pipe(), pipe()));
+            transfer::run(9, mptcp, paths.collect(), 20).receivers[0].delivered_bytes
         };
         let coupled = run(true);
         let uncoupled = run(false);
@@ -1253,64 +1182,35 @@ mod tests {
 
         let secs = 46u64;
         let run = |sched: SchedulerKind| {
-            let mut sim = Simulator::new(21);
-            let buffer = 600; // modest buffer: stranding hurts
-            let sender = sim.add_node(Box::new(MptcpSender::new(MptcpConfig {
-                flow: 10,
+            let mptcp = Endpoints::Mptcp {
                 cc: CcAlgorithm::Cubic,
                 coupled: true,
                 scheduler: sched,
-                recv_buffer_packets: buffer,
-                subflow_links: vec![LinkId(0), LinkId(1)],
-                limit_packets: None,
+                buffer_packets: 600, // modest buffer: stranding hurts
                 leo_guard: (sched == SchedulerKind::LeoAware).then_some(LeoGuard {
                     satellite_subflow: 0,
                     interval_ms: 15_000,
                     guard_ms: 700,
                 }),
                 plugins: TransportPlugins::default(),
-            })));
-            let receiver = sim.add_node(Box::new(MptcpReceiver::new(
-                10,
-                vec![LinkId(2), LinkId(3)],
-                buffer,
-            )));
+            };
             // Satellite path: 80 Mbps with total loss for one second at
             // every 15 s mark.
             let sat_loss: Vec<f64> = (0..secs)
                 .map(|t| if t % 15 == 0 { 1.0 } else { 0.002 })
                 .collect();
             let sat_trace = MahimahiTrace::from_capacity_series(&vec![80.0; secs as usize]);
-            sim.add_link(
+            let sat = transfer::Path::new(
                 Box::new(
                     TracePipe::new(sat_trace, SimTime::from_millis(30), 1 << 20)
                         .with_loss_series(sat_loss),
                 ),
-                receiver,
+                Box::new(ConstPipe::new(80.0, SimTime::from_millis(30), 0.0, 1 << 20)),
             );
             // Cellular path: steady 30 Mbps.
-            sim.add_link(
-                Box::new(ConstPipe::new(30.0, SimTime::from_millis(25), 0.0, 1 << 20)),
-                receiver,
-            );
-            sim.add_link(
-                Box::new(ConstPipe::new(80.0, SimTime::from_millis(30), 0.0, 1 << 20)),
-                sender,
-            );
-            sim.add_link(
-                Box::new(ConstPipe::new(30.0, SimTime::from_millis(25), 0.0, 1 << 20)),
-                sender,
-            );
-            sim.with_agent(sender, |a, ctx| {
-                a.as_any_mut()
-                    .downcast_mut::<MptcpSender>()
-                    .unwrap()
-                    .start(ctx)
-            });
-            sim.run_until(SimTime::from_secs(secs));
-            sim.agent_as::<MptcpReceiver>(receiver)
-                .meter
-                .mean_mbps_over(SimTime::from_secs(secs))
+            let cell = || ConstPipe::new(30.0, SimTime::from_millis(25), 0.0, 1 << 20);
+            let cell = transfer::Path::new(Box::new(cell()), Box::new(cell()));
+            transfer::run(21, mptcp, vec![sat, cell], secs).receivers[0].mean_mbps
         };
         let blest = run(SchedulerKind::Blest);
         let leo = run(SchedulerKind::LeoAware);

@@ -3,8 +3,8 @@
 //!
 //! Parameter search over transport configurations runs thousands of
 //! independent transfers; this module is the harness that makes that
-//! throughput-bound rather than bookkeeping-bound, and the substrate a
-//! future `leo-train` crate would drive. Determinism follows the
+//! throughput-bound rather than bookkeeping-bound, and the substrate the
+//! `leo-train` search and its baselines run on. Determinism follows the
 //! fleet/conformance recipe: every unit derives its seed from
 //! `(base seed, unit index)` via [`unit_seed`], workers pull units from
 //! one shared cursor ([`leo_exec::run_indexed`]), and results come back
@@ -12,9 +12,10 @@
 //! count.
 
 use crate::cc::CcAlgorithm;
-use crate::mptcp::{MptcpConfig, MptcpReceiver, MptcpSender, SchedulerKind};
+use crate::mptcp::SchedulerKind;
 use crate::plugin::TransportPlugins;
-use leo_netsim::{ConstPipe, FaultPipe, FaultSchedule, LinkId, SimTime, Simulator};
+use crate::transfer::{self, faulted, Endpoints, Path};
+use leo_netsim::{ConstPipe, FaultSchedule, SimTime};
 use serde::Serialize;
 
 /// The seed unit `index` of a sweep with master `seed` executes under,
@@ -98,7 +99,7 @@ pub struct PathSpec {
 }
 
 impl PathSpec {
-    /// A fault-free path (the PR 8 shape).
+    /// A fault-free path: no outage and no handover clock.
     pub fn new(rate_mbps: f64, delay_ms: u64, loss: f64) -> Self {
         Self {
             rate_mbps,
@@ -126,8 +127,8 @@ impl PathSpec {
 
     /// Compiles the declared faults into a [`FaultSchedule`] covering a
     /// `duration_s`-second transfer. Outage-only windows, so executing
-    /// the schedule draws no RNG; an empty schedule stays exactly
-    /// transparent and fault-free paths are bit-identical to PR 8.
+    /// the schedule draws no RNG; a fault-free path compiles to an empty
+    /// schedule, which leaves its pipes unwrapped.
     pub fn fault_schedule(&self, duration_s: u64) -> FaultSchedule {
         let mut sched = FaultSchedule::new();
         if let Some(o) = self.outage {
@@ -151,6 +152,28 @@ impl PathSpec {
             }
         }
         sched
+    }
+
+    /// This path for a `duration_s`-second transfer: a constant-rate data
+    /// pipe with the path's loss and a lossless ACK pipe back, both queued
+    /// to 2× the path BDP, with the declared faults on both directions (a
+    /// handover blackout takes the ACK stream down with the data stream).
+    pub fn transfer_path(&self, duration_s: u64) -> Path {
+        let bdp_bytes = (self.rate_mbps * 1e6 / 8.0) * (2.0 * self.delay_ms as f64 / 1e3);
+        let queue = bdp_bytes as u64 + 50_000;
+        let pipe = |loss| {
+            ConstPipe::new(
+                self.rate_mbps,
+                SimTime::from_millis(self.delay_ms),
+                loss,
+                queue,
+            )
+        };
+        let faults = self.fault_schedule(duration_s);
+        Path::new(
+            faulted(pipe(self.loss), faults.clone()),
+            faulted(pipe(0.0), faults),
+        )
     }
 }
 
@@ -235,8 +258,8 @@ pub fn grid(scenarios: &[SweepScenario]) -> Vec<SweepUnit> {
     units
 }
 
-/// Runs one grid cell under `seed`: a two-path MPTCP transfer with
-/// lossless ACK return paths and queues sized to 2× the path BDP.
+/// Runs one grid cell under `seed`: a two-path MPTCP transfer over the
+/// paths' [`PathSpec::transfer_path`]s.
 pub fn run_transfer(unit: &SweepUnit, seed: u64) -> SweepResult {
     run_transfer_with(unit, seed, &TransportPlugins::default())
 }
@@ -247,69 +270,21 @@ pub fn run_transfer(unit: &SweepUnit, seed: u64) -> SweepResult {
 /// absent). Empty plug-ins are bit-identical to [`run_transfer`].
 pub fn run_transfer_with(unit: &SweepUnit, seed: u64, plugins: &TransportPlugins) -> SweepResult {
     let sc = &unit.scenario;
-    let mut sim = Simulator::new(seed);
-    let sender = sim.add_node(Box::new(MptcpSender::new(MptcpConfig {
-        flow: 10,
+    let endpoints = Endpoints::Mptcp {
         cc: unit.cc,
         coupled: true,
         scheduler: unit.scheduler,
-        recv_buffer_packets: sc.buffer_packets,
-        subflow_links: vec![LinkId(0), LinkId(1)],
-        limit_packets: None,
+        buffer_packets: sc.buffer_packets,
         leo_guard: None,
         plugins: plugins.clone(),
-    })));
-    let receiver = sim.add_node(Box::new(MptcpReceiver::new(
-        10,
-        vec![LinkId(2), LinkId(3)],
-        sc.buffer_packets,
-    )));
-    // Declared path faults hit both directions — a handover blackout
-    // takes the ACK stream down with the data stream.
-    for p in &sc.paths {
-        let q = ((p.rate_mbps * 1e6 / 8.0) * (2.0 * p.delay_ms as f64 / 1e3)) as u64 + 50_000;
-        let pipe = ConstPipe::new(p.rate_mbps, SimTime::from_millis(p.delay_ms), p.loss, q);
-        let sched = p.fault_schedule(sc.duration_s);
-        if sched.is_empty() {
-            sim.add_link(Box::new(pipe), receiver);
-        } else {
-            sim.add_link(Box::new(FaultPipe::new(pipe, sched)), receiver);
-        }
-    }
-    for p in &sc.paths {
-        let q = ((p.rate_mbps * 1e6 / 8.0) * (2.0 * p.delay_ms as f64 / 1e3)) as u64 + 50_000;
-        let pipe = ConstPipe::new(p.rate_mbps, SimTime::from_millis(p.delay_ms), 0.0, q);
-        let sched = p.fault_schedule(sc.duration_s);
-        if sched.is_empty() {
-            sim.add_link(Box::new(pipe), sender);
-        } else {
-            sim.add_link(Box::new(FaultPipe::new(pipe, sched)), sender);
-        }
-    }
-    sim.with_agent(sender, |a, ctx| {
-        a.as_any_mut()
-            .downcast_mut::<MptcpSender>()
-            .unwrap()
-            .start(ctx)
-    });
-    sim.run_until(SimTime::from_secs(sc.duration_s));
-
-    let goodput = sim
-        .agent_as::<MptcpReceiver>(receiver)
-        .meter
-        .mean_mbps_over(SimTime::from_secs(sc.duration_s));
-    let snd = sim.agent_as::<MptcpSender>(sender);
-    let (mut sent, mut rexmit) = (0u64, 0u64);
-    for (s, r) in snd.subflow_counters() {
-        sent += s;
-        rexmit += r;
-    }
-    let timeouts: u64 = snd.subflow_timeouts().sum();
+    };
+    let paths = sc.paths.iter().map(|p| p.transfer_path(sc.duration_s));
+    let out = transfer::run(seed, endpoints, paths.collect(), sc.duration_s);
     SweepResult {
-        goodput_mbps: goodput,
-        packets_sent: sent,
-        retransmissions: rexmit,
-        timeouts,
+        goodput_mbps: out.receivers[0].mean_mbps,
+        packets_sent: out.senders.iter().map(|s| s.packets_sent).sum(),
+        retransmissions: out.senders.iter().map(|s| s.retransmissions).sum(),
+        timeouts: out.senders.iter().map(|s| s.timeouts).sum(),
     }
 }
 
@@ -318,21 +293,6 @@ pub fn run_transfer_with(unit: &SweepUnit, seed: u64, plugins: &TransportPlugins
 pub fn run_grid(units: &[SweepUnit], seed: u64, threads: usize) -> Vec<SweepResult> {
     run_units(units, threads, |i, u| {
         run_transfer(u, unit_seed(seed, i as u64))
-    })
-}
-
-/// [`run_grid`] with the same plug-ins applied to every unit — how a
-/// search loop evaluates one candidate across the whole scenario corpus.
-/// Plug-ins are `Arc`-shared across workers; picks depend only on the
-/// view handed in, so this stays thread-count-invariant.
-pub fn run_grid_with(
-    units: &[SweepUnit],
-    seed: u64,
-    threads: usize,
-    plugins: &TransportPlugins,
-) -> Vec<SweepResult> {
-    run_units(units, threads, |i, u| {
-        run_transfer_with(u, unit_seed(seed, i as u64), plugins)
     })
 }
 

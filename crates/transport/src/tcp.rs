@@ -11,7 +11,8 @@ use crate::cc::CcAlgorithm;
 use crate::flowcore::{FlowActions, FlowCore, RtoCoalesce, RtoFire};
 use crate::seqops::SeqBitmap;
 use crate::throughput::ThroughputMeter;
-use leo_netsim::{Agent, Context, LinkId, Packet, SimTime};
+use crate::transfer::SenderStats;
+use leo_netsim::{Agent, Context, LinkId, Packet};
 
 /// TCP connection parameters.
 #[derive(Debug, Clone)]
@@ -28,19 +29,6 @@ pub struct TcpConfig {
     pub limit_packets: Option<u64>,
 }
 
-impl TcpConfig {
-    /// A bulk-transfer config with CUBIC and a large receive window.
-    pub fn bulk(flow: u32, data_link: LinkId) -> Self {
-        Self {
-            flow,
-            cc: CcAlgorithm::Cubic,
-            rwnd_packets: 4096,
-            data_link,
-            limit_packets: None,
-        }
-    }
-}
-
 /// The sending endpoint. Receives ACKs, emits data.
 pub struct TcpSender {
     cfg: TcpConfig,
@@ -54,8 +42,8 @@ pub struct TcpSender {
 }
 
 impl TcpSender {
-    /// Creates a sender; call [`start`](Self::start) (via
-    /// `Simulator::with_agent`) to begin transmitting.
+    /// Creates a sender; [`start`](Self::start) begins transmitting
+    /// ([`crate::transfer::run`] calls it).
     pub fn new(cfg: TcpConfig) -> Self {
         let core = FlowCore::new(cfg.cc);
         Self {
@@ -85,29 +73,14 @@ impl TcpSender {
         }
     }
 
-    /// Retransmission rate: retransmitted / total transmissions.
-    pub fn retransmission_rate(&self) -> f64 {
-        self.core.retransmission_rate()
-    }
-
-    /// Total packets put on the wire.
-    pub fn packets_sent(&self) -> u64 {
-        self.core.packets_sent
-    }
-
-    /// Total retransmissions.
-    pub fn retransmissions(&self) -> u64 {
-        self.core.retransmissions
-    }
-
-    /// RTO events so far.
-    pub fn timeouts(&self) -> u64 {
-        self.core.timeouts
-    }
-
-    /// Smoothed RTT estimate, if sampled yet.
-    pub fn srtt(&self) -> Option<SimTime> {
-        self.core.rtt.srtt()
+    /// Packets sent, retransmissions, RTO events and smoothed RTT so far.
+    pub(crate) fn stats(&self) -> SenderStats {
+        SenderStats {
+            packets_sent: self.core.packets_sent,
+            retransmissions: self.core.retransmissions,
+            timeouts: self.core.timeouts,
+            srtt_s: self.core.srtt_s(),
+        }
     }
 
     /// Current congestion window, packets.
@@ -284,51 +257,26 @@ impl Agent for TcpReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leo_netsim::{ConstPipe, Simulator};
+    use crate::transfer::{self, Endpoints, Path};
+    use leo_netsim::{ConstPipe, SimTime, Simulator};
 
     /// Builds sender→receiver over (rate, delay, loss) and runs `secs`.
     fn run_tcp(rate_mbps: f64, delay_ms: u64, loss: f64, secs: u64, cc: CcAlgorithm) -> (f64, f64) {
-        let mut sim = Simulator::new(99);
         let queue = (rate_mbps * 1e6 / 8.0 * 2.0 * delay_ms as f64 / 1e3) as u64 + 30_000;
-        let sender = sim.add_node(Box::new(TcpSender::new(TcpConfig {
-            flow: 1,
-            cc,
-            rwnd_packets: 4096,
-            data_link: LinkId(0),
-            limit_packets: None,
-        })));
-        let receiver = sim.add_node(Box::new(TcpReceiver::new(1, LinkId(1))));
-        sim.add_link(
+        let pipe = |loss| -> Box<dyn leo_netsim::Pipe> {
             Box::new(ConstPipe::new(
                 rate_mbps,
                 SimTime::from_millis(delay_ms),
                 loss,
                 queue,
-            )),
-            receiver,
-        );
-        sim.add_link(
-            Box::new(ConstPipe::new(
-                rate_mbps,
-                SimTime::from_millis(delay_ms),
-                0.0,
-                queue,
-            )),
-            sender,
-        );
-        sim.with_agent(sender, |a, ctx| {
-            a.as_any_mut()
-                .downcast_mut::<TcpSender>()
-                .unwrap()
-                .start(ctx)
-        });
-        sim.run_until(SimTime::from_secs(secs));
-        let goodput = sim
-            .agent_as::<TcpReceiver>(receiver)
-            .meter
-            .mean_mbps_over(SimTime::from_secs(secs));
-        let retx = sim.agent_as::<TcpSender>(sender).retransmission_rate();
-        (goodput, retx)
+            ))
+        };
+        let tcp = Endpoints::Tcp {
+            cc,
+            rwnd_packets: 4096,
+        };
+        let out = transfer::run(99, tcp, vec![Path::new(pipe(loss), pipe(0.0))], secs);
+        (out.receivers[0].mean_mbps, out.retransmission_rate())
     }
 
     #[test]
@@ -463,7 +411,8 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(30));
         let s = sim.agent_as::<TcpSender>(sender);
-        assert!(s.timeouts() >= 3, "timeouts {}", s.timeouts());
+        let timeouts = s.stats().timeouts;
+        assert!(timeouts >= 3, "timeouts {timeouts}");
         assert!(!s.finished());
     }
 
@@ -472,44 +421,20 @@ mod tests {
         // A tiny receive window on a long-delay link caps throughput at
         // rwnd/RTT regardless of capacity — §6's buffer story in
         // single-path form.
-        let mut sim = Simulator::new(3);
-        let sender = sim.add_node(Box::new(TcpSender::new(TcpConfig {
-            flow: 1,
+        let pipe = || -> Box<dyn leo_netsim::Pipe> {
+            Box::new(ConstPipe::new(
+                1000.0,
+                SimTime::from_millis(50),
+                0.0,
+                1 << 24,
+            ))
+        };
+        let tcp = Endpoints::Tcp {
             cc: CcAlgorithm::Cubic,
             rwnd_packets: 10,
-            data_link: LinkId(0),
-            limit_packets: None,
-        })));
-        let receiver = sim.add_node(Box::new(TcpReceiver::new(1, LinkId(1))));
-        sim.add_link(
-            Box::new(ConstPipe::new(
-                1000.0,
-                SimTime::from_millis(50),
-                0.0,
-                1 << 24,
-            )),
-            receiver,
-        );
-        sim.add_link(
-            Box::new(ConstPipe::new(
-                1000.0,
-                SimTime::from_millis(50),
-                0.0,
-                1 << 24,
-            )),
-            sender,
-        );
-        sim.with_agent(sender, |a, ctx| {
-            a.as_any_mut()
-                .downcast_mut::<TcpSender>()
-                .unwrap()
-                .start(ctx)
-        });
-        sim.run_until(SimTime::from_secs(10));
-        let goodput = sim
-            .agent_as::<TcpReceiver>(receiver)
-            .meter
-            .mean_mbps_over(SimTime::from_secs(10));
+        };
+        let goodput =
+            transfer::run(3, tcp, vec![Path::new(pipe(), pipe())], 10).receivers[0].mean_mbps;
         // 10 pkts × 1500 B / 100 ms RTT = 1.2 Mbps.
         assert!(
             (0.8..1.6).contains(&goodput),

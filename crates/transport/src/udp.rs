@@ -76,8 +76,6 @@ pub struct UdpSink {
     flow: u32,
     pub meter: ThroughputMeter,
     pub packets_received: u64,
-    /// Highest sequence seen, for loss estimation.
-    pub max_seq_seen: u64,
 }
 
 impl UdpSink {
@@ -87,17 +85,7 @@ impl UdpSink {
             flow,
             meter: ThroughputMeter::new(),
             packets_received: 0,
-            max_seq_seen: 0,
         }
-    }
-
-    /// Loss rate inferred from sequence gaps.
-    pub fn loss_rate(&self) -> f64 {
-        let expected = self.max_seq_seen + 1;
-        if self.packets_received == 0 {
-            return 0.0;
-        }
-        1.0 - self.packets_received as f64 / expected as f64
     }
 }
 
@@ -107,7 +95,6 @@ impl Agent for UdpSink {
             return;
         }
         self.packets_received += 1;
-        self.max_seq_seen = self.max_seq_seen.max(packet.seq);
         self.meter.record(ctx.now(), packet.size_bytes as u64);
     }
 
@@ -123,39 +110,19 @@ impl Agent for UdpSink {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use leo_netsim::{ConstPipe, Simulator};
+    use crate::transfer::{self, Endpoints, Path};
+    use leo_netsim::{ConstPipe, SimTime};
 
+    /// Delivered Mbps over the blast and the share of datagrams lost.
     fn run_udp(blast_mbps: f64, pipe_mbps: f64, loss: f64, secs: u64) -> (f64, f64) {
-        let mut sim = Simulator::new(11);
-        let sink = sim.add_node(Box::new(UdpSink::new(1)));
-        let blaster = sim.add_node(Box::new(UdpBlaster::new(
-            1,
-            LinkId(0),
-            blast_mbps,
-            SimTime::from_secs(secs),
-        )));
-        sim.add_link(
-            Box::new(ConstPipe::new(
-                pipe_mbps,
-                SimTime::from_millis(25),
-                loss,
-                90_000,
-            )),
-            sink,
-        );
-        sim.with_agent(blaster, |a, ctx| {
-            a.as_any_mut()
-                .downcast_mut::<UdpBlaster>()
-                .unwrap()
-                .start(ctx)
-        });
-        sim.run_until(SimTime::from_secs(secs + 1));
-        let s = sim.agent_as::<UdpSink>(sink);
-        (
-            s.meter.mean_mbps_over(SimTime::from_secs(secs)),
-            s.loss_rate(),
-        )
+        let pipe = ConstPipe::new(pipe_mbps, SimTime::from_millis(25), loss, 90_000);
+        let blast = Endpoints::Udp {
+            rate_mbps: blast_mbps,
+            blast_s: secs,
+        };
+        let out = transfer::run(11, blast, vec![Path::one_way(Box::new(pipe))], secs + 1);
+        let delivered_mb = out.receivers[0].delivered_bytes as f64 * 8.0 / 1e6;
+        (delivered_mb / secs as f64, out.udp_loss_rate())
     }
 
     #[test]
