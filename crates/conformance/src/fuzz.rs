@@ -3,7 +3,7 @@
 //! Composes random pipe stacks (Const/Trace base, optional fault and
 //! jitter wrappers), random fault schedules, and random transport
 //! workloads of every kind the transfer builder runs (UDP, one TCP
-//! connection, parallel TCP, two-path MPTCP); drives them
+//! connection, parallel TCP, two-path MPTCP) over such stacks; drives them
 //! deterministically; and asserts every
 //! registered invariant after every step. A violation panics with the
 //! case seed and a copy-pasteable reproduction command, so any failure
@@ -319,31 +319,27 @@ fn run_udp_case(seed: u64, rng: &mut SmallRng) {
     }
 }
 
-/// A lossy constant data pipe and the clean ACK pipe back, as the TCP
-/// cases draw them.
-fn lossy_path(rng: &mut SmallRng) -> Path {
-    let data = ConstPipe::new(
-        rng.gen_range(1.0..100.0),
-        SimTime::from_millis(rng.gen_range(1..=50)),
-        rng.gen_range(0.0..0.05),
-        rng.gen_range(30_000..=500_000u64),
-    );
+/// A data pipe drawn like every other stack of the fuzzer (constant or
+/// trace base, fault schedule, jitter) and the clean ACK pipe back, so
+/// the transports meet dead seconds, outages and reordering.
+fn random_path(rng: &mut SmallRng) -> Path {
+    let data = random_stack(rng).pipe;
     let ack = ConstPipe::new(100.0, SimTime::from_millis(10), 0.0, 1 << 22);
-    Path::new(Box::new(data), Box::new(ack))
+    Path::new(data, Box::new(ack))
 }
 
-/// TCP download over a lossy constant pipe.
+/// TCP download over a random pipe stack.
 fn run_tcp_case(seed: u64, rng: &mut SmallRng) {
     let secs = rng.gen_range(3..=8u64);
     let tcp = Endpoints::Tcp {
         cc: CcAlgorithm::Cubic,
         rwnd_packets: 1 << 16,
     };
-    let out = transfer::run(splitmix64(seed ^ 0x7c9), tcp, vec![lossy_path(rng)], secs);
+    let out = transfer::run(splitmix64(seed ^ 0x7c9), tcp, vec![random_path(rng)], secs);
     check_transfer(seed, "tcp", &out, 1);
 }
 
-/// Two-path MPTCP download over lossy constant pipes, under a random
+/// Two-path MPTCP download over random pipe stacks, under a random
 /// scheduler, congestion controller, coupling and receive buffer.
 fn run_mptcp_case(seed: u64, rng: &mut SmallRng) {
     let secs = rng.gen_range(3..=8u64);
@@ -357,13 +353,13 @@ fn run_mptcp_case(seed: u64, rng: &mut SmallRng) {
         leo_guard: (scheduler == SchedulerKind::LeoAware).then(LeoGuard::starlink_default),
         plugins: Default::default(),
     };
-    let paths = vec![lossy_path(rng), lossy_path(rng)];
+    let paths = vec![random_path(rng), random_path(rng)];
     let out = transfer::run(splitmix64(seed ^ 0x3b7c), mptcp, paths, secs);
     check_transfer(seed, "mptcp", &out, 2);
 }
 
-/// iPerf `-P 2..4`: parallel TCP connections sharing one lossy constant
-/// pipe through flow demuxes.
+/// iPerf `-P 2..4`: parallel TCP connections sharing one random pipe
+/// stack through flow demuxes.
 fn run_parallel_tcp_case(seed: u64, rng: &mut SmallRng) {
     let secs = rng.gen_range(3..=8u64);
     let tcp = Endpoints::DemuxedTcp {
@@ -371,7 +367,7 @@ fn run_parallel_tcp_case(seed: u64, rng: &mut SmallRng) {
         cc: CcAlgorithm::Cubic,
         rwnd_packets: 4096,
     };
-    let out = transfer::run(splitmix64(seed ^ 0x9a7), tcp, vec![lossy_path(rng)], secs);
+    let out = transfer::run(splitmix64(seed ^ 0x9a7), tcp, vec![random_path(rng)], secs);
     check_transfer(seed, "parallel tcp", &out, 1);
 }
 

@@ -7,7 +7,7 @@
 //! area mix of 29.78 % / 34.30 % / 35.91 %.
 
 use crate::places::{PlaceCategory, PlaceDb};
-use crate::point::GeoPoint;
+use crate::point::{GeoPoint, EARTH_RADIUS_KM};
 use serde::{Deserialize, Serialize};
 
 /// The three area types the paper's coverage analysis uses.
@@ -90,10 +90,23 @@ impl AreaClassifier {
     pub fn classify(&self, p: &GeoPoint) -> AreaType {
         let mut best = AreaType::Rural;
         for place in self.places.places() {
-            let d = place.location.distance_km(p);
             let s = self.scale_for(place.category);
             let urban_r = self.urban_km * s;
             let suburban_r = self.suburban_km * s;
+            // Haversine distance is at least R·|Δφ| for |Δφ| ≤ 180°, so a
+            // place whose latitude gap alone exceeds its largest radius
+            // (plus 1 km for rounding) cannot match and its haversine is
+            // skipped. A NaN gap fails the test and falls through.
+            let reach_km = if place.category == PlaceCategory::Town {
+                suburban_r
+            } else {
+                urban_r.max(suburban_r)
+            };
+            let dlat = (p.lat_deg - place.location.lat_deg).abs();
+            if dlat <= 180.0 && EARTH_RADIUS_KM * dlat.to_radians() > reach_km + 1.0 {
+                continue;
+            }
+            let d = place.location.distance_km(p);
             // Towns have no urban core.
             if place.category != PlaceCategory::Town && d <= urban_r {
                 return AreaType::Urban;
@@ -131,6 +144,80 @@ impl AreaClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl AreaClassifier {
+        /// The classifier without the latitude prefilter: a haversine to
+        /// every place.
+        fn classify_brute_force(&self, p: &GeoPoint) -> AreaType {
+            let mut best = AreaType::Rural;
+            for place in self.places.places() {
+                let d = place.location.distance_km(p);
+                let s = self.scale_for(place.category);
+                if place.category != PlaceCategory::Town && d <= self.urban_km * s {
+                    return AreaType::Urban;
+                }
+                if d <= self.suburban_km * s {
+                    best = AreaType::Suburban;
+                }
+            }
+            best
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prefilter_matches_brute_force_anywhere(
+            lat in -90.0..90.0f64,
+            lon in -180.0..180.0f64,
+            corridor_lat in 39.0..48.0f64,
+            corridor_lon in -105.0..-85.0f64,
+        ) {
+            let c = classifier();
+            for p in [GeoPoint::new(lat, lon), GeoPoint::new(corridor_lat, corridor_lon)] {
+                prop_assert_eq!(c.classify(&p), c.classify_brute_force(&p));
+            }
+        }
+
+        #[test]
+        fn prefilter_matches_brute_force_on_every_radius(
+            bearing in 0.0..360.0f64,
+            nudge_m in -50.0..50.0f64,
+        ) {
+            let c = classifier();
+            for place in c.places().places() {
+                let s = c.scale_for(place.category);
+                for r in [c.urban_km * s, c.suburban_km * s] {
+                    for km in [r, r + nudge_m / 1e3] {
+                        let p = place.location.destination(bearing, km);
+                        prop_assert_eq!(c.classify(&p), c.classify_brute_force(&p));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_positions_fall_through_to_the_haversine() {
+        let c = classifier();
+        for p in [
+            GeoPoint {
+                lat_deg: f64::NAN,
+                lon_deg: -90.0,
+            },
+            GeoPoint {
+                lat_deg: 43.0,
+                lon_deg: f64::NAN,
+            },
+            GeoPoint {
+                lat_deg: f64::NAN,
+                lon_deg: f64::NAN,
+            },
+        ] {
+            assert_eq!(c.classify(&p), c.classify_brute_force(&p));
+            assert_eq!(c.classify(&p), AreaType::Rural);
+        }
+    }
 
     fn classifier() -> AreaClassifier {
         AreaClassifier::new(PlaceDb::five_state_corridor())

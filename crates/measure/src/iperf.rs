@@ -157,7 +157,13 @@ pub struct IperfReport {
     pub mean_mbps: f64,
     /// Retransmission rate (TCP: retransmitted over sent packets) or loss
     /// rate (UDP). The packet-level UDP loss is `1 − received / sent`, so
-    /// a datagram still in flight when the test ends counts as lost.
+    /// a datagram still in flight when the test ends counts as lost, and
+    /// so does one the blaster's own queue drops: it sends at 1.3× the
+    /// mean capacity into one mean BDP plus 60 kB of queue, so 8 s on a
+    /// clean 30-Mbps link read 0.2327 where the analytic engine reads the
+    /// channel's 0. On a dead link (mean capacity ≤ 0.05 Mbps) both
+    /// engines read UDP loss 1; packet-level TCP reads 0 there, having
+    /// transmitted nothing.
     pub retrans_rate: f64,
 }
 
@@ -316,16 +322,17 @@ impl IperfRunner {
             conditions.iter().map(|c| c.rtt_ms).sum::<f64>() / conditions.len() as f64;
         let one_way = SimTime::from_secs_f64(mean_rtt_ms / 2.0 / 1e3);
         let mean_cap = caps.iter().sum::<f64>() / caps.len() as f64;
-        if mean_cap <= 0.05 {
-            return (
-                IperfReport::from_series(vec![0.0; conditions.len()], 0.0),
-                IperfAudit::default(),
-            );
-        }
         let trace = MahimahiTrace::from_capacity_series(&caps);
-        if trace.is_empty() {
+        if mean_cap <= 0.05 || trace.is_empty() {
+            // A dead link: every UDP datagram is lost, as the analytic
+            // engine reads it; TCP transmitted nothing, so it
+            // retransmitted nothing.
+            let loss = match self.config.protocol {
+                IperfProtocol::Udp => 1.0,
+                IperfProtocol::Tcp { .. } => 0.0,
+            };
             return (
-                IperfReport::from_series(vec![0.0; conditions.len()], 0.0),
+                IperfReport::from_series(vec![0.0; conditions.len()], loss),
                 IperfAudit::default(),
             );
         }

@@ -94,6 +94,25 @@ fn udp_outage_window_reconciles_with_drop_counters() {
     assert!(report.retrans_rate > 0.15, "loss {}", report.retrans_rate);
 }
 
+/// Eight seconds of `LinkCondition::OUTAGE`: nothing crosses the link.
+/// Packet-level UDP reads every datagram lost, as the analytic engine
+/// does; packet-level TCP transmitted nothing and reads no
+/// retransmissions.
+#[test]
+fn dead_link_reads_total_udp_loss_on_both_engines() {
+    let dead = vec![LinkCondition::OUTAGE; 8];
+    let analytic = IperfRunner::new(IperfConfig::udp_down()).run_analytic(&dead);
+    let packet = IperfRunner::new(IperfConfig::udp_down().with_engine(Engine::PacketLevel))
+        .run_packet_level(&dead);
+    assert_eq!(analytic.retrans_rate, 1.0);
+    assert_eq!(packet.retrans_rate, 1.0);
+    assert_eq!(packet.per_second_mbps, vec![0.0; 8]);
+    let tcp = IperfRunner::new(IperfConfig::tcp_down_cellular(1).with_engine(Engine::PacketLevel))
+        .run_packet_level(&dead);
+    assert_eq!(tcp.retrans_rate, 0.0);
+    assert_eq!(tcp.mean_mbps, 0.0);
+}
+
 #[test]
 fn udp_full_outage_zeroes_report_and_counters_in_lockstep() {
     let conditions = flat(8, 30.0, 40.0, 0.0);

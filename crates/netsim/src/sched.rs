@@ -9,6 +9,13 @@
 //! amortised with **zero per-event heap allocation** in steady state —
 //! bucket `Vec`s retain their capacity across the simulation.
 //!
+//! In the simulator the calendar orders agent timers and the rare
+//! arrival that could not join its link's FIFO (a reordering pipe
+//! delivered it before an earlier packet); in-order arrivals wait in
+//! their link's own FIFO and never enter it (see [`crate::sim`]).
+//! [`CalendarQueue::peek`] gives the simulator the calendar's head for
+//! that merge.
+//!
 //! ## Ordering contract
 //!
 //! [`CalendarQueue::pop`] returns events in exactly ascending
@@ -106,16 +113,26 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Removes and returns the minimum-`(at, seq)` entry.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.pop_le(SimTime::from_nanos(u64::MAX))
+    /// The minimum `(at, seq)` key, without removing its entry. Takes
+    /// `&mut self` because finding the minimum advances the cursor, which
+    /// a following pop then starts from.
+    pub fn peek(&mut self) -> Option<(SimTime, u64)> {
+        let (b, i) = self.locate_min()?;
+        let e = &self.buckets[b][i];
+        Some((e.at, e.seq))
     }
 
-    /// Like [`pop`](Self::pop), but leaves the entry queued (returning
-    /// `None`) when the minimum's timestamp exceeds `deadline` — the
-    /// deadline-bounded variant `run_until` uses so it never has to
-    /// re-insert a peeked event.
-    pub fn pop_le(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
+    /// Removes and returns the minimum-`(at, seq)` entry.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        let (b, i) = self.locate_min()?;
+        let e = self.buckets[b].swap_remove(i);
+        self.len -= 1;
+        Some((e.at, e.seq, e.item))
+    }
+
+    /// The `(bucket, index)` of the minimum-`(at, seq)` entry; moves the
+    /// cursor to its day.
+    fn locate_min(&mut self) -> Option<(usize, usize)> {
         if self.len == 0 {
             return None;
         }
@@ -123,28 +140,20 @@ impl<T> CalendarQueue<T> {
         let mut visited = 0usize;
         loop {
             let idx = (day & self.mask) as usize;
-            let bucket = &mut self.buckets[idx];
-            if !bucket.is_empty() {
-                // Scan for the bucket's minimum entry *of this day*;
-                // entries from future calendar years share the bucket and
-                // are skipped.
-                let mut best: Option<usize> = None;
-                for (i, e) in bucket.iter().enumerate() {
-                    if Self::day_of(e.at) == day
-                        && best.is_none_or(|j: usize| (e.at, e.seq) < (bucket[j].at, bucket[j].seq))
-                    {
-                        best = Some(i);
-                    }
+            let bucket = &self.buckets[idx];
+            // Scan for the bucket's minimum entry *of this day*; entries
+            // from future calendar years share the bucket and are skipped.
+            let mut best: Option<usize> = None;
+            for (i, e) in bucket.iter().enumerate() {
+                if Self::day_of(e.at) == day
+                    && best.is_none_or(|j: usize| (e.at, e.seq) < (bucket[j].at, bucket[j].seq))
+                {
+                    best = Some(i);
                 }
-                if let Some(i) = best {
-                    self.current_day = day;
-                    if bucket[i].at > deadline {
-                        return None;
-                    }
-                    let e = bucket.swap_remove(i);
-                    self.len -= 1;
-                    return Some((e.at, e.seq, e.item));
-                }
+            }
+            if let Some(i) = best {
+                self.current_day = day;
+                return Some((idx, i));
             }
             day += 1;
             visited += 1;
@@ -200,15 +209,21 @@ mod tests {
     }
 
     #[test]
-    fn deadline_bounded_pop_leaves_future_events() {
+    fn peek_names_the_entry_pop_returns() {
         let mut q = CalendarQueue::new();
-        q.push(SimTime::from_millis(5), 1, ());
-        q.push(SimTime::from_secs(5), 2, ());
-        assert!(q.pop_le(SimTime::from_millis(10)).is_some());
-        assert!(q.pop_le(SimTime::from_millis(10)).is_none());
-        assert_eq!(q.len(), 1);
-        // Still there, still popped eventually.
-        assert_eq!(q.pop().map(|(_, s, _)| s), Some(2));
+        assert_eq!(q.peek(), None);
+        q.push(SimTime::from_secs(2), 5, "late");
+        q.push(SimTime::from_millis(7), 9, "b");
+        q.push(SimTime::from_millis(7), 8, "a");
+        assert_eq!(q.peek(), Some((SimTime::from_millis(7), 8)));
+        assert_eq!(q.len(), 3, "peek leaves the entry queued");
+        // A push behind the peeked cursor still surfaces first.
+        q.push(SimTime::from_millis(1), 10, "early");
+        assert_eq!(q.peek(), Some((SimTime::from_millis(1), 10)));
+        while let Some((at, seq)) = q.peek() {
+            assert_eq!(q.pop().map(|(a, s, _)| (a, s)), Some((at, seq)));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -2,15 +2,32 @@
 //!
 //! ## The hot path
 //!
-//! The scheduler is an indexed [`CalendarQueue`] (see [`crate::sched`]):
-//! push and pop are O(1) amortised with zero per-event heap allocation,
-//! events dispatch to agents directly on the internal `EventKind` (no boxed
-//! closures), and agent actions accumulate in one reusable buffer
-//! instead of a fresh `Vec` per event. The pre-rewrite scheduler — a
-//! global `BinaryHeap` with boxed per-event dispatch — survives only as a
-//! test oracle: this module's tests run both loops and require
-//! bit-identical runs, and `tests/sched_equivalence.rs` pins the queue
-//! order against a heap.
+//! An in-flight packet waits in its own link's arrival FIFO, the way
+//! FlowForge's `Link` keeps its `transmitting` deque. When a pipe admits
+//! a packet, the packet takes the next `seq` and joins its link's FIFO if
+//! its delivery time is at or after the FIFO's tail. Only a reordering
+//! pipe ([`JitterPipe`](crate::JitterPipe), a
+//! [`FaultPipe`](crate::FaultPipe) delay spike) can deliver before the
+//! tail; such an arrival goes to the [`CalendarQueue`] (see
+//! [`crate::sched`]), which otherwise orders only agent timers. Each step
+//! takes the least `(at, seq)` among the FIFO heads and the calendar
+//! head, which is cached between calendar pops.
+//!
+//! Agents act at once: [`Context::send`] offers the packet to its pipe
+//! and queues its arrival during the callback, and
+//! [`Context::set_timer`] pushes the timer. Nothing is buffered, boxed or
+//! allocated per event.
+//!
+//! Exactness: every FIFO is sorted by `(at, seq)`, so the merge pops the
+//! global minimum, the event one global queue would pop. Sends and timers
+//! take effect in call order at the callback's `now`, which is the order
+//! and instant a deferred action buffer would apply them in, and only
+//! pipes draw the simulator's RNG. So `seq` order and RNG draw order are
+//! those of a single global queue, and runs are bit-identical to it. That
+//! loop — a global `BinaryHeap` carrying every arrival, with boxed
+//! per-event dispatch — survives only as a test oracle: this module's
+//! tests run both and require identical runs, and
+//! `tests/sched_equivalence.rs` pins the calendar order against a heap.
 
 use crate::packet::Packet;
 use crate::pipe::{Pipe, PipeStats};
@@ -18,6 +35,7 @@ use crate::sched::CalendarQueue;
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 
 /// Identifies a node (agent) in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,19 +66,12 @@ pub trait Agent: std::any::Any {
 
 /// The agent's handle to the simulation during a callback.
 ///
-/// Borrows the simulator's reusable action buffer for the duration of
-/// the callback, so emitting packets and arming timers allocates nothing
-/// in steady state.
+/// Borrows the network (links, event queue, RNG and sequence counter), so
+/// a send reaches its pipe and a timer its queue during the callback.
 pub struct Context<'a> {
     now: SimTime,
     node: NodeId,
-    actions: &'a mut Vec<Action>,
-    rng: &'a mut SmallRng,
-}
-
-enum Action {
-    Send { link: LinkId, packet: Packet },
-    Timer { node: NodeId, at: SimTime, id: u64 },
+    net: &'a mut Network,
 }
 
 impl<'a> Context<'a> {
@@ -75,9 +86,10 @@ impl<'a> Context<'a> {
     }
 
     /// Sends `packet` into `link` (stamping `sent_at` with now).
+    #[inline]
     pub fn send(&mut self, link: LinkId, mut packet: Packet) {
         packet.sent_at = self.now;
-        self.actions.push(Action::Send { link, packet });
+        self.net.send(self.now, link, packet);
     }
 
     /// Arms a timer that fires on this node after `delay`.
@@ -85,36 +97,26 @@ impl<'a> Context<'a> {
     /// Timers cannot be cancelled; agents should carry an epoch in
     /// `timer_id` and ignore stale firings (the classic lazy-cancel
     /// pattern).
+    #[inline]
     pub fn set_timer(&mut self, delay: SimTime, timer_id: u64) {
-        self.actions.push(Action::Timer {
+        let kind = EventKind::Timer {
             node: self.node,
-            at: self.now + delay,
             id: timer_id,
-        });
-    }
-
-    /// Deterministic randomness for the agent.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        };
+        self.net.push_event(self.now + delay, kind);
     }
 }
 
+/// A calendar entry: an agent timer, or an arrival that could not join
+/// its link's FIFO.
 #[derive(Debug)]
 enum EventKind {
-    Arrival {
-        node: NodeId,
-        link: LinkId,
-        packet: Packet,
-    },
-    Timer {
-        node: NodeId,
-        id: u64,
-    },
+    Arrival { link: LinkId, packet: Packet },
+    Timer { node: NodeId, id: u64 },
 }
 
-/// The event store: the calendar queue, or (in tests) the pre-rewrite
-/// binary heap it is checked against. Both pop in exactly ascending
-/// `(at, seq)` order.
+/// The event store: the calendar queue, or (in tests) the binary heap it
+/// is checked against. Both pop in exactly ascending `(at, seq)` order.
 enum EventQueue {
     Calendar(CalendarQueue<EventKind>),
     #[cfg(test)]
@@ -130,13 +132,19 @@ impl EventQueue {
         }
     }
 
-    /// Removes and returns the earliest event iff its timestamp is at or
-    /// before `deadline`.
-    fn pop_le(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
+    fn peek(&mut self) -> Option<(SimTime, u64)> {
         match self {
-            EventQueue::Calendar(q) => q.pop_le(deadline).map(|(at, _, kind)| (at, kind)),
+            EventQueue::Calendar(q) => q.peek(),
             #[cfg(test)]
-            EventQueue::ReferenceHeap(h) => h.pop_le(deadline),
+            EventQueue::ReferenceHeap(h) => h.peek(),
+        }
+    }
+
+    fn pop(&mut self) -> Option<EventKind> {
+        match self {
+            EventQueue::Calendar(q) => q.pop().map(|(_, _, kind)| kind),
+            #[cfg(test)]
+            EventQueue::ReferenceHeap(h) => h.pop(),
         }
     }
 }
@@ -144,6 +152,74 @@ impl EventQueue {
 struct Link {
     pipe: Box<dyn Pipe>,
     dst: NodeId,
+    /// Admitted packets waiting for delivery, `(at, seq, packet)`, sorted
+    /// by `(at, seq)`.
+    arrivals: VecDeque<(SimTime, u64, Packet)>,
+}
+
+/// What a [`Context`] acts on: the links, the event queue, the RNG the
+/// pipes draw from and the one `seq` counter of the simulation.
+struct Network {
+    links: Vec<Link>,
+    events: EventQueue,
+    /// The calendar's head while it is known (`Some(None)`: empty). A
+    /// push can only lower it; a pop forgets it until the next peek.
+    calendar_head: Option<Option<(SimTime, u64)>>,
+    seq: u64,
+    rng: SmallRng,
+    /// Arrivals that could not join their link's FIFO.
+    reordered: u64,
+}
+
+impl Network {
+    /// Offers `packet` to `link`'s pipe at `now` and queues its arrival
+    /// if the pipe admits it.
+    fn send(&mut self, now: SimTime, link: LinkId, packet: Packet) {
+        let fifo = self.uses_fifos();
+        let l = &mut self.links[link.0];
+        let Some(at) = l.pipe.offer(packet.size_bytes, now, &mut self.rng) else {
+            return;
+        };
+        if fifo {
+            if l.arrivals.back().is_none_or(|&(tail, _, _)| tail <= at) {
+                self.seq += 1;
+                l.arrivals.push_back((at, self.seq, packet));
+                return;
+            }
+            self.reordered += 1;
+        }
+        self.push_event(at, EventKind::Arrival { link, packet });
+    }
+
+    /// Whether in-order arrivals ride their link's FIFO: always, except
+    /// in the test-only reference loop, whose heap carries every arrival.
+    #[inline]
+    fn uses_fifos(&self) -> bool {
+        #[cfg(test)]
+        if let EventQueue::ReferenceHeap(_) = self.events {
+            return false;
+        }
+        true
+    }
+
+    fn push_event(&mut self, at: SimTime, kind: EventKind) {
+        self.seq += 1;
+        self.events.push(at, self.seq, kind);
+        if let Some(head) = &mut self.calendar_head {
+            if head.is_none_or(|h| (at, self.seq) < h) {
+                *head = Some((at, self.seq));
+            }
+        }
+    }
+
+    fn calendar_head(&mut self) -> Option<(SimTime, u64)> {
+        *self.calendar_head.get_or_insert_with(|| self.events.peek())
+    }
+
+    fn pop_calendar(&mut self) -> EventKind {
+        self.calendar_head = None;
+        self.events.pop().expect("the calendar head exists")
+    }
 }
 
 /// Ceiling on events processed at one simulated instant before
@@ -161,18 +237,11 @@ pub const DEFAULT_INSTANT_EVENT_LIMIT: u64 = 1_000_000;
 /// [`run_until`](Self::run_until).
 pub struct Simulator {
     now: SimTime,
-    events: EventQueue,
-    event_seq: u64,
-    nodes: Vec<Option<Box<dyn Agent>>>,
-    links: Vec<Link>,
-    rng: SmallRng,
-    /// Reusable action buffer lent to [`Context`]s; drained after every
-    /// callback, so its capacity is the high-water mark of actions per
-    /// callback rather than a per-event allocation.
-    action_buf: Vec<Action>,
+    nodes: Vec<Box<dyn Agent>>,
+    net: Network,
     /// Events that popped with a timestamp before `now` — always zero
-    /// unless the event queue ordering is broken. Checked by the
-    /// conformance layer's clock-monotonicity invariant.
+    /// unless the event ordering is broken. Checked by the conformance
+    /// layer's clock-monotonicity invariant.
     clock_regressions: u64,
     /// The instant the most recent event fired at, and how many events
     /// have fired at it consecutively — the same-timestamp cascade guard.
@@ -214,12 +283,15 @@ impl Simulator {
     pub fn new(seed: u64) -> Self {
         Self {
             now: SimTime::ZERO,
-            events: EventQueue::Calendar(CalendarQueue::new()),
-            event_seq: 0,
             nodes: Vec::new(),
-            links: Vec::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            action_buf: Vec::new(),
+            net: Network {
+                links: Vec::new(),
+                events: EventQueue::Calendar(CalendarQueue::new()),
+                calendar_head: None,
+                seq: 0,
+                rng: SmallRng::seed_from_u64(seed),
+                reordered: 0,
+            },
             clock_regressions: 0,
             instant_at: SimTime::ZERO,
             instant_events: 0,
@@ -235,7 +307,7 @@ impl Simulator {
 
     /// Number of links added so far.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.net.links.len()
     }
 
     /// Whether no processed event ever carried a timestamp before the
@@ -265,7 +337,7 @@ impl Simulator {
         SimAudit {
             clock_monotonic: self.clock_monotonic(),
             instant_cascade_bounded: self.instant_cascade_bounded(),
-            links: self.links.iter().map(|l| l.pipe.stats()).collect(),
+            links: self.net.links.iter().map(|l| l.pipe.stats()).collect(),
         }
     }
 
@@ -297,20 +369,24 @@ impl Simulator {
 
     /// Adds an agent, returning its id.
     pub fn add_node(&mut self, agent: Box<dyn Agent>) -> NodeId {
-        self.nodes.push(Some(agent));
+        self.nodes.push(agent);
         NodeId(self.nodes.len() - 1)
     }
 
     /// Adds a unidirectional link delivering into `dst`.
     pub fn add_link(&mut self, pipe: Box<dyn Pipe>, dst: NodeId) -> LinkId {
         assert!(dst.0 < self.nodes.len(), "unknown destination node");
-        self.links.push(Link { pipe, dst });
-        LinkId(self.links.len() - 1)
+        self.net.links.push(Link {
+            pipe,
+            dst,
+            arrivals: VecDeque::new(),
+        });
+        LinkId(self.net.links.len() - 1)
     }
 
     /// Statistics of a link's pipe.
     pub fn link_stats(&self, link: LinkId) -> PipeStats {
-        self.links[link.0].pipe.stats()
+        self.net.links[link.0].pipe.stats()
     }
 
     /// Runs `f` against an agent with a live [`Context`] — used to start
@@ -321,21 +397,12 @@ impl Simulator {
         node: NodeId,
         f: impl FnOnce(&mut dyn Agent, &mut Context) -> R,
     ) -> R {
-        let mut agent = self.nodes[node.0].take().expect("agent is present");
-        let mut actions = std::mem::take(&mut self.action_buf);
-        let out = {
-            let mut ctx = Context {
-                now: self.now,
-                node,
-                actions: &mut actions,
-                rng: &mut self.rng,
-            };
-            f(agent.as_mut(), &mut ctx)
+        let mut ctx = Context {
+            now: self.now,
+            node,
+            net: &mut self.net,
         };
-        self.nodes[node.0] = Some(agent);
-        self.apply(&mut actions);
-        self.action_buf = actions;
-        out
+        f(self.nodes[node.0].as_mut(), &mut ctx)
     }
 
     /// Retrieves an agent for inspection after (or during) a run.
@@ -343,9 +410,7 @@ impl Simulator {
     /// # Panics
     /// Panics if the node id is invalid.
     pub fn agent(&self, node: NodeId) -> &dyn Agent {
-        self.nodes[node.0]
-            .as_deref()
-            .expect("agent is present outside of callbacks")
+        self.nodes[node.0].as_ref()
     }
 
     /// Downcasts an agent to its concrete type for result extraction.
@@ -359,43 +424,40 @@ impl Simulator {
             .expect("agent has the requested concrete type")
     }
 
-    fn apply(&mut self, actions: &mut Vec<Action>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { link, packet } => {
-                    let l = &mut self.links[link.0];
-                    if let Some(at) = l.pipe.offer(packet.size_bytes, self.now, &mut self.rng) {
-                        let kind = EventKind::Arrival {
-                            node: l.dst,
-                            link,
-                            packet,
-                        };
-                        self.push_event(at, kind);
-                    }
-                }
-                Action::Timer { node, at, id } => {
-                    self.push_event(at, EventKind::Timer { node, id });
-                }
-            }
-        }
-    }
-
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        self.event_seq += 1;
-        self.events.push(at, self.event_seq, kind);
-    }
-
     /// Processes one event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.step_bounded(SimTime::from_nanos(u64::MAX))
     }
 
     /// Processes the earliest event iff it is due at or before `deadline`;
-    /// returns false when nothing qualifies (queue empty or head in the
-    /// future).
+    /// returns false when nothing qualifies (no event pending, or the
+    /// earliest in the future).
     fn step_bounded(&mut self, deadline: SimTime) -> bool {
-        let Some((at, kind)) = self.events.pop_le(deadline) else {
+        // The least `(at, seq)` among the calendar head and the FIFO
+        // heads, with the link it waits on (`None`: the calendar).
+        let mut next = self.net.calendar_head().map(|key| (key, None));
+        for (i, l) in self.net.links.iter().enumerate() {
+            if let Some(&(at, seq, _)) = l.arrivals.front() {
+                if next.is_none_or(|(key, _)| (at, seq) < key) {
+                    next = Some(((at, seq), Some(i)));
+                }
+            }
+        }
+        let Some(((at, _), from)) = next else {
             return false;
+        };
+        if at > deadline {
+            return false;
+        }
+        let kind = match from {
+            Some(i) => {
+                let (_, _, packet) = self.net.links[i].arrivals.pop_front().expect("a head");
+                EventKind::Arrival {
+                    link: LinkId(i),
+                    packet,
+                }
+            }
+            None => self.net.pop_calendar(),
         };
         if at < self.now {
             // Recorded rather than only debug-asserted so release builds
@@ -411,7 +473,7 @@ impl Simulator {
             self.instant_events = 1;
         }
         #[cfg(test)]
-        if let EventQueue::ReferenceHeap(_) = self.events {
+        if let EventQueue::ReferenceHeap(_) = self.net.events {
             self.dispatch_reference(kind);
             return true;
         }
@@ -419,32 +481,25 @@ impl Simulator {
         true
     }
 
-    /// Direct dispatch on [`EventKind`] with the reusable action buffer:
-    /// no boxed closure, no fresh `Vec`, no per-event allocation at all.
+    /// Direct dispatch on [`EventKind`]: no boxed closure, no allocation.
     fn dispatch(&mut self, kind: EventKind) {
         let node = match kind {
-            EventKind::Arrival { node, .. } | EventKind::Timer { node, .. } => node,
+            EventKind::Arrival { link, .. } => self.net.links[link.0].dst,
+            EventKind::Timer { node, .. } => node,
         };
-        let mut agent = self.nodes[node.0].take().expect("agent is present");
-        let mut actions = std::mem::take(&mut self.action_buf);
-        {
-            let mut ctx = Context {
-                now: self.now,
-                node,
-                actions: &mut actions,
-                rng: &mut self.rng,
-            };
-            match kind {
-                EventKind::Arrival { link, packet, .. } => agent.on_packet(&mut ctx, link, packet),
-                EventKind::Timer { id, .. } => agent.on_timer(&mut ctx, id),
-            }
+        let agent = &mut self.nodes[node.0];
+        let mut ctx = Context {
+            now: self.now,
+            node,
+            net: &mut self.net,
+        };
+        match kind {
+            EventKind::Arrival { link, packet } => agent.on_packet(&mut ctx, link, packet),
+            EventKind::Timer { id, .. } => agent.on_timer(&mut ctx, id),
         }
-        self.nodes[node.0] = Some(agent);
-        self.apply(&mut actions);
-        self.action_buf = actions;
     }
 
-    /// Runs until the event queue drains or simulated time reaches
+    /// Runs until no event is pending or simulated time reaches
     /// `deadline`, whichever comes first. Returns the number of events
     /// processed.
     ///
@@ -481,7 +536,7 @@ impl Drop for Simulator {
         }
         leo_obs::incr("netsim.sims", 1);
         let mut hiwater = 0u64;
-        for l in &self.links {
+        for l in &self.net.links {
             let s = l.pipe.stats();
             leo_obs::incr("netsim.packets.offered", s.offered_packets);
             leo_obs::incr("netsim.packets.delivered", s.delivered_packets);
@@ -490,13 +545,14 @@ impl Drop for Simulator {
             leo_obs::incr("netsim.drop.fault", s.dropped_fault);
             hiwater = hiwater.max(l.pipe.queue_hiwater_bytes());
         }
+        leo_obs::incr("netsim.arrivals.reordered", self.net.reordered);
         leo_obs::gauge_max("netsim.queue.hiwater_bytes", hiwater as f64);
     }
 }
 
-/// The pre-rewrite event loop: a global binary heap, a boxed `FnOnce`
-/// per dispatched event and a fresh action `Vec` per callback. Kept as
-/// the oracle the calendar-queue loop is checked against.
+/// The single-queue event loop: a global binary heap that carries every
+/// arrival (no link FIFOs) and a boxed `FnOnce` per dispatched event.
+/// Kept as the oracle the FIFO merge is checked against.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -528,7 +584,7 @@ mod reference {
         }
     }
 
-    /// The pre-rewrite scheduler.
+    /// The single global queue.
     #[derive(Default)]
     pub(super) struct Heap(BinaryHeap<Reverse<ScheduledEvent>>);
 
@@ -537,50 +593,47 @@ mod reference {
             self.0.push(Reverse(ScheduledEvent { at, seq, kind }));
         }
 
-        pub(super) fn pop_le(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
-            if self.0.peek().is_some_and(|Reverse(ev)| ev.at <= deadline) {
-                self.0.pop().map(|Reverse(ev)| (ev.at, ev.kind))
-            } else {
-                None
-            }
+        pub(super) fn peek(&self) -> Option<(SimTime, u64)> {
+            self.0.peek().map(|Reverse(ev)| (ev.at, ev.seq))
+        }
+
+        pub(super) fn pop(&mut self) -> Option<EventKind> {
+            self.0.pop().map(|Reverse(ev)| ev.kind)
         }
     }
 
     impl Simulator {
-        /// A simulation on the pre-rewrite event loop.
-        pub(super) fn new_reference(seed: u64) -> Self {
+        /// A simulation on the single-queue event loop.
+        pub(crate) fn new_reference(seed: u64) -> Self {
             let mut sim = Self::new(seed);
-            sim.events = EventQueue::ReferenceHeap(Heap::default());
+            sim.net.events = EventQueue::ReferenceHeap(Heap::default());
             sim
         }
 
-        /// The pre-rewrite dispatch, preserved verbatim in spirit.
+        /// Dispatch through a boxed closure per event.
         pub(super) fn dispatch_reference(&mut self, kind: EventKind) {
             type Delivery = Box<dyn FnOnce(&mut dyn Agent, &mut Context)>;
             let (node, deliver): (NodeId, Delivery) = match kind {
-                EventKind::Arrival { node, link, packet } => {
-                    (node, Box::new(move |a, ctx| a.on_packet(ctx, link, packet)))
-                }
+                EventKind::Arrival { link, packet } => (
+                    self.net.links[link.0].dst,
+                    Box::new(move |a, ctx| a.on_packet(ctx, link, packet)),
+                ),
                 EventKind::Timer { node, id } => {
                     (node, Box::new(move |a, ctx| a.on_timer(ctx, id)))
                 }
             };
-            let mut agent = self.nodes[node.0].take().expect("agent is present");
-            let mut actions: Vec<Action> = Vec::new();
-            {
-                let mut ctx = Context {
-                    now: self.now,
-                    node,
-                    actions: &mut actions,
-                    rng: &mut self.rng,
-                };
-                deliver(agent.as_mut(), &mut ctx);
-            }
-            self.nodes[node.0] = Some(agent);
-            self.apply(&mut actions);
+            let mut ctx = Context {
+                now: self.now,
+                node,
+                net: &mut self.net,
+            };
+            deliver(self.nodes[node.0].as_mut(), &mut ctx);
         }
     }
 }
+
+#[cfg(test)]
+mod lockstep;
 
 #[cfg(test)]
 mod tests {

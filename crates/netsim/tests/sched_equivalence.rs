@@ -76,13 +76,9 @@ proptest! {
     }
 
     #[test]
-    fn deadline_bounded_pop_matches_reference(
-        ops in prop::collection::vec(op_strategy(), 1..80),
-        deadline_ns in 0u64..3_000_000_000,
-    ) {
-        // pop_le must behave as "pop iff min <= deadline" with no side
-        // effect on the queued order when it declines.
-        let deadline = SimTime::from_nanos(deadline_ns);
+    fn peek_matches_reference_heap(ops in prop::collection::vec(op_strategy(), 1..80)) {
+        // peek names the heap's minimum with no side effect on the queued
+        // order, however pushes and pops interleave with it.
         let mut cal: CalendarQueue<u64> = CalendarQueue::new();
         let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -99,14 +95,11 @@ proptest! {
                     }
                 }
                 Op::Pop => {
-                    let head_in_range =
-                        heap.peek().is_some_and(|Reverse((at, _))| *at <= deadline);
-                    let got = cal.pop_le(deadline);
-                    if head_in_range {
+                    let want = heap.peek().map(|Reverse((at, s))| (*at, *s));
+                    prop_assert_eq!(cal.peek(), want);
+                    if seq % 2 == 0 {
                         let want = heap.pop().map(|Reverse((at, s))| (at, s, s));
-                        prop_assert_eq!(got, want);
-                    } else {
-                        prop_assert_eq!(got, None);
+                        prop_assert_eq!(cal.pop(), want);
                     }
                 }
             }

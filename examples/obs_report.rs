@@ -18,7 +18,8 @@
 //!   sums those jobs), per-network trace timings, per-worker busy time;
 //! * the orbit fast path — searcher rebuild/reuse counts and the plane
 //!   pruning survivor ratio;
-//! * the packet emulator — per-cause drop counters and the queue
+//! * the packet emulator — per-cause drop counters, the count of
+//!   arrivals that could not join their link's FIFO and the queue
 //!   high-water mark, flushed once per finished simulation;
 //! * the §6 MPTCP harness — per-subflow packets/retransmissions/bytes,
 //!   SRTT samples, scheduler usage (driven here through a faulted run so
@@ -264,6 +265,11 @@ fn main() {
     if report.counter("netsim.drop.queue") + report.counter("netsim.drop.random") == 0 {
         missing.push("no queue/random drops recorded across the campaign".into());
     }
+    // Every finished simulation flushes its reordered-arrival count, which
+    // is 0 on in-order pipes: require the counter, not a positive value.
+    if !report.counters.contains_key("netsim.arrivals.reordered") {
+        missing.push("counter netsim.arrivals.reordered is absent".into());
+    }
     // Stage timings must be real wall clock, not zeros.
     for name in ["campaign.stage.drive_s", "campaign.stage.trace_s"] {
         if report.histogram(name).is_none_or(|h| h.sum <= 0.0) {
@@ -304,6 +310,6 @@ fn main() {
     }
     eprintln!(
         "obs_report: all {} required metric families present.",
-        required_counters.len() + required_histograms.len()
+        required_counters.len() + required_histograms.len() + 1
     );
 }
