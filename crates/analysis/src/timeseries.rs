@@ -1,9 +1,10 @@
 //! Time-series utilities: smoothing and stability metrics.
 //!
 //! §6 closes by suggesting future MPTCP schedulers could aim at "reducing
-//! throughput fluctuations"; these metrics quantify exactly that, and the
-//! scheduler ablation bench uses them to compare BLEST against the
-//! LEO-aware scheduler.
+//! throughput fluctuations"; these metrics quantify exactly that. Only
+//! this module's tests run them today: the scheduler comparison that runs
+//! is `leo-transport`'s `leo_aware_beats_blest_under_periodic_satellite_outages`
+//! test, which compares mean goodput.
 
 /// Simple moving average with window `w` (output has the input's length;
 /// the first `w-1` entries average the available prefix).

@@ -15,8 +15,10 @@ pub struct FigureEntry {
 /// Every figure of the paper, in order.
 ///
 /// Figures 10 and 11 run packet-level emulation; their registry entries
-/// use moderate window settings so a full sweep stays interactive — the
-/// benches run the paper-scale versions.
+/// use moderate window settings (four 120-s windows, one 120-s window) so
+/// a full sweep stays interactive. These entries are what `figures`, the
+/// conformance goldens and `perfbench --workload figures` run; nothing
+/// runs the paper-scale `Fig10Params::default()`/`Fig11Params::default()`.
 pub fn all_figures() -> Vec<FigureEntry> {
     vec![
         FigureEntry {

@@ -20,6 +20,11 @@ use std::sync::Arc;
 /// (a) how its window is scaled before the flow machinery sees it and
 /// (b) which loss/timeout events reach it at all. The identity table
 /// delegates everything bit-exactly, which the lockstep test pins.
+///
+/// It keeps the exactness contract of [`CongestionControl`] that lets the
+/// flow core cache its window: `cwnd()` reads only the base controller
+/// and the current cell's action, both changed only by the `&mut self`
+/// events, and `set_increase_scale` only forwards a factor to the base.
 #[derive(Debug)]
 pub struct SearchedCc {
     dna: CcDna,

@@ -1,4 +1,4 @@
-//! Pluggable congestion control: Reno and CUBIC.
+//! Pluggable congestion control: Reno, CUBIC and BBR-lite.
 //!
 //! Windows are measured in packets (MSS units). The controllers are
 //! event-driven: the TCP machinery reports ACKed packets, loss events
@@ -31,6 +31,22 @@ impl CcAlgorithm {
 }
 
 /// The congestion-control interface.
+///
+/// # Exactness contract
+///
+/// [`crate::flowcore::FlowCore`] caches the window instead of asking the
+/// controller on every read, so an implementation must keep two rules:
+///
+/// * `cwnd()` is a pure function of the controller's state, and that
+///   state changes only through `&mut self` methods (no interior
+///   mutability). The core refreshes its cached window right after each
+///   `on_ack`, `on_loss_event` and `on_timeout` call it makes.
+/// * `set_increase_scale` scales later increases and never changes the
+///   current window, so it needs no refresh.
+///
+/// Reno, CUBIC and BBR-lite keep both: their `set_increase_scale` only
+/// stores a factor (or ignores it). Debug builds check the cache against
+/// `cwnd()` on every read.
 pub trait CongestionControl: std::fmt::Debug + Send {
     /// Current congestion window in packets (≥ 1).
     fn cwnd(&self) -> f64;
@@ -55,7 +71,8 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     }
 
     /// Externally scale the additive-increase aggressiveness; used by
-    /// MPTCP's LIA coupling (1.0 = uncoupled).
+    /// MPTCP's LIA coupling (1.0 = uncoupled). Must not change the
+    /// current window (see the exactness contract above).
     fn set_increase_scale(&mut self, scale: f64);
 }
 
@@ -395,6 +412,11 @@ impl CongestionControl for Cubic {
 /// controllers survives Starlink's obstruction loss where CUBIC collapses
 /// (§4.1's "calls for better congestion control"). Timeouts still reset
 /// conservatively.
+///
+/// The bandwidth max filter is a monotonic queue, so each ACK reads the
+/// estimate in O(1) instead of folding the 10-s sample window. It holds
+/// the same maximum as the window it stands for, bit for bit (see
+/// [`BbrLite::btl_bw`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BbrLite {
     cwnd: f64,
@@ -403,7 +425,9 @@ pub struct BbrLite {
     /// Start of the current rate sample.
     sample_t_s: f64,
     sample_delivered: f64,
-    /// Windowed max delivery rate, packets/s: (measured_at_s, rate).
+    /// Windowed max filter over delivery-rate samples, packets/s:
+    /// `(measured_at_s, rate)`, times rising and rates strictly falling
+    /// from head to tail. The head is the window's maximum.
     bw_samples: Vec<(f64, f64)>,
     /// Windowed min smoothed RTT, seconds.
     min_rtt_s: f64,
@@ -437,9 +461,34 @@ impl BbrLite {
         }
     }
 
-    /// Current bottleneck-bandwidth estimate, packets/s.
+    /// Current bottleneck-bandwidth estimate, packets/s: the largest rate
+    /// sample of the last 10 s, 0 with none.
     pub fn btl_bw(&self) -> f64 {
-        self.bw_samples.iter().map(|&(_, r)| r).fold(0.0, f64::max)
+        self.bw_samples.first().map_or(0.0, |&(_, r)| r)
+    }
+
+    /// Adds the rate sample `(now_s, rate)` to the max filter and drops
+    /// the samples older than the window.
+    ///
+    /// Exact against keeping every sample of the window and taking their
+    /// maximum: a sample popped here has a rate no larger than the newer
+    /// one and leaves the window first, so it never is the maximum. Sample
+    /// times strictly rise (a sample needs `now_s − sample_t_s ≥ 10 ms`),
+    /// so the expired samples are a prefix, and the newest sample always
+    /// stays: the queue is empty exactly when the window is. Rates are
+    /// finite and ≥ +0, so the head equals `fold(0.0, f64::max)` over the
+    /// window bit for bit.
+    fn push_bw_sample(&mut self, now_s: f64, rate: f64) {
+        while self.bw_samples.last().is_some_and(|&(_, r)| r <= rate) {
+            self.bw_samples.pop();
+        }
+        self.bw_samples.push((now_s, rate));
+        let expired = self
+            .bw_samples
+            .iter()
+            .take_while(|&&(t, _)| now_s - t > BBR_BW_WINDOW_S)
+            .count();
+        self.bw_samples.drain(..expired);
     }
 }
 
@@ -471,9 +520,7 @@ impl CongestionControl for BbrLite {
         let elapsed = now_s - self.sample_t_s;
         if elapsed >= srtt_s.max(0.01) {
             let rate = (self.delivered - self.sample_delivered) / elapsed;
-            self.bw_samples.push((now_s, rate));
-            self.bw_samples
-                .retain(|&(t, _)| now_s - t <= BBR_BW_WINDOW_S);
+            self.push_bw_sample(now_s, rate);
             self.sample_t_s = now_s;
             self.sample_delivered = self.delivered;
         }
@@ -504,9 +551,188 @@ impl CongestionControl for BbrLite {
     }
 }
 
+/// BBR-lite as it was before the monotonic max filter: every sample of
+/// the window kept, `retain`ed on each new sample, folded on each read.
+/// The oracle of `tests::monotonic_bw_filter_matches_the_fold_oracle`.
+#[cfg(test)]
+mod reference {
+    use super::{CongestionControl, BBR_BW_WINDOW_S, BBR_CWND_GAIN, BBR_RTT_WINDOW_S};
+
+    #[derive(Debug)]
+    pub(super) struct FoldBbrLite {
+        cwnd: f64,
+        delivered: f64,
+        sample_t_s: f64,
+        sample_delivered: f64,
+        pub(super) bw_samples: Vec<(f64, f64)>,
+        min_rtt_s: f64,
+        min_rtt_at_s: f64,
+    }
+
+    impl FoldBbrLite {
+        pub(super) fn new() -> Self {
+            Self {
+                cwnd: 10.0,
+                delivered: 0.0,
+                sample_t_s: 0.0,
+                sample_delivered: 0.0,
+                bw_samples: Vec::new(),
+                min_rtt_s: f64::INFINITY,
+                min_rtt_at_s: 0.0,
+            }
+        }
+
+        pub(super) fn btl_bw(&self) -> f64 {
+            self.bw_samples.iter().map(|&(_, r)| r).fold(0.0, f64::max)
+        }
+    }
+
+    impl CongestionControl for FoldBbrLite {
+        fn cwnd(&self) -> f64 {
+            self.cwnd
+        }
+
+        fn ssthresh(&self) -> f64 {
+            if self.bw_samples.is_empty() {
+                f64::INFINITY
+            } else {
+                0.0
+            }
+        }
+
+        fn on_ack(&mut self, n: u64, now_s: f64, srtt_s: f64) {
+            self.delivered += n as f64;
+            if srtt_s < self.min_rtt_s || now_s - self.min_rtt_at_s > BBR_RTT_WINDOW_S {
+                self.min_rtt_s = srtt_s;
+                self.min_rtt_at_s = now_s;
+            }
+            let elapsed = now_s - self.sample_t_s;
+            if elapsed >= srtt_s.max(0.01) {
+                let rate = (self.delivered - self.sample_delivered) / elapsed;
+                self.bw_samples.push((now_s, rate));
+                self.bw_samples
+                    .retain(|&(t, _)| now_s - t <= BBR_BW_WINDOW_S);
+                self.sample_t_s = now_s;
+                self.sample_delivered = self.delivered;
+            }
+            let bdp = self.btl_bw() * self.min_rtt_s.min(10.0);
+            if bdp > 0.0 {
+                self.cwnd = (BBR_CWND_GAIN * bdp).max(4.0);
+            } else {
+                self.cwnd += n as f64;
+            }
+        }
+
+        fn on_loss_event(&mut self, _now_s: f64) {
+            self.cwnd = (self.cwnd * 0.95).max(4.0);
+        }
+
+        fn on_timeout(&mut self, _now_s: f64) {
+            self.cwnd = 4.0;
+            self.bw_samples.clear();
+        }
+
+        fn set_increase_scale(&mut self, _scale: f64) {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One input to a BBR-lite pair. Times advance on a 1/64-s grid, so
+    /// equal ACK batches over equal gaps give bit-equal rate samples.
+    #[derive(Debug, Clone, Copy)]
+    enum BbrOp {
+        Ack { n: u64, ticks: u64, srtt_s: f64 },
+        Loss { ticks: u64 },
+        Timeout { ticks: u64 },
+    }
+
+    fn bbr_op() -> impl Strategy<Value = BbrOp> {
+        // RTT-paced batches with repeated sizes (0 gives zero-rate
+        // samples), idle gaps of exactly and beyond the 10-s window, and
+        // srtt values that repeat, change, and fall below the 10-ms floor.
+        let n = prop_oneof![Just(0u64), Just(10u64), Just(50u64), 0u64..300];
+        let ticks = prop_oneof![6 => 0u64..9, 1 => Just(640u64), 1 => 641u64..1600];
+        let srtt = prop_oneof![
+            Just(1.0 / 64.0),
+            Just(4.0 / 64.0),
+            Just(0.5),
+            Just(0.001),
+            0.001..1.5f64
+        ];
+        prop_oneof![
+            12 => (n, ticks, srtt).prop_map(|(n, ticks, srtt_s)| BbrOp::Ack { n, ticks, srtt_s }),
+            1 => (0u64..4).prop_map(|ticks| BbrOp::Loss { ticks }),
+            1 => (0u64..4).prop_map(|ticks| BbrOp::Timeout { ticks }),
+        ]
+    }
+
+    #[test]
+    fn monotonic_bw_filter_matches_the_fold_oracle() {
+        let ops = prop::collection::vec(bbr_op(), 1..600);
+        // (samples the monotonic filter popped, samples expired from the
+        // window, zero-rate samples, timeouts with a non-empty model)
+        let mut seen = [0u64; 4];
+        proptest::run_cases_with("monotonic_bw_filter_matches_the_fold_oracle", 256, |rng| {
+            let (mut fast, mut oracle) = (BbrLite::new(), reference::FoldBbrLite::new());
+            let mut ticks = 0u64;
+            for (step, op) in ops.sample(rng).into_iter().enumerate() {
+                let (retained, newest) =
+                    (oracle.bw_samples.len(), oracle.bw_samples.last().copied());
+                match op {
+                    BbrOp::Ack {
+                        n,
+                        ticks: dt,
+                        srtt_s,
+                    } => {
+                        ticks += dt;
+                        let now_s = ticks as f64 / 64.0;
+                        fast.on_ack(n, now_s, srtt_s);
+                        oracle.on_ack(n, now_s, srtt_s);
+                        let pushed = oracle.bw_samples.last().copied() != newest;
+                        seen[1] += (pushed && oracle.bw_samples.len() <= retained) as u64;
+                        if oracle.bw_samples.len() > fast.bw_samples.len() {
+                            seen[0] += 1;
+                        }
+                        seen[2] += oracle.bw_samples.last().is_some_and(|&(_, r)| r == 0.0) as u64;
+                    }
+                    BbrOp::Loss { ticks: dt } => {
+                        ticks += dt;
+                        fast.on_loss_event(ticks as f64 / 64.0);
+                        oracle.on_loss_event(ticks as f64 / 64.0);
+                    }
+                    BbrOp::Timeout { ticks: dt } => {
+                        ticks += dt;
+                        seen[3] += (retained > 0) as u64;
+                        fast.on_timeout(ticks as f64 / 64.0);
+                        oracle.on_timeout(ticks as f64 / 64.0);
+                    }
+                }
+                assert_eq!(
+                    fast.btl_bw().to_bits(),
+                    oracle.btl_bw().to_bits(),
+                    "btl_bw @ {step} after {op:?}"
+                );
+                assert_eq!(
+                    fast.ssthresh().to_bits(),
+                    oracle.ssthresh().to_bits(),
+                    "ssthresh @ {step}"
+                );
+                assert_eq!(
+                    fast.cwnd().to_bits(),
+                    oracle.cwnd().to_bits(),
+                    "cwnd @ {step}"
+                );
+            }
+        });
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "an input class never occurred: {seen:?}"
+        );
+    }
 
     #[test]
     fn reno_slow_start_doubles_per_rtt() {

@@ -492,10 +492,21 @@ mod reference {
 }
 
 /// The reliable-flow sender core.
+///
+/// The core owns its congestion controller and caches its window: every
+/// controller call that can move the window goes through the core, which
+/// re-reads `cc.cwnd()` right after it. Readers ([`Self::cwnd`],
+/// [`Self::window_space`], the recovery budget, MPTCP's LIA and
+/// schedulers) then read a field instead of dispatching through [`Cc`],
+/// a virtual call under a plug-in controller. Exact by the contract on
+/// [`crate::cc::CongestionControl`]; debug builds check it on every read.
 #[derive(Debug)]
 pub struct FlowCore {
     /// Congestion controller (statically dispatched; see [`Cc`]).
-    pub cc: Cc,
+    cc: Cc,
+    /// `cc.cwnd()`, refreshed after each `on_ack`, `on_loss_event` and
+    /// `on_timeout` call.
+    cwnd: f64,
     /// RTT estimator (RFC 6298).
     pub rtt: RttEstimator,
     next_seq: u64,
@@ -542,6 +553,7 @@ impl FlowCore {
     /// which rides here as [`Cc::Custom`]).
     pub fn with_cc(cc: Cc) -> Self {
         Self {
+            cwnd: cc.cwnd(),
             cc,
             rtt: RttEstimator::new(),
             next_seq: 0,
@@ -588,9 +600,29 @@ impl FlowCore {
         self.snd_una < self.next_seq
     }
 
+    /// Current congestion window, packets: the controller's window as of
+    /// its last event, without a dispatch.
+    #[inline]
+    pub fn cwnd(&self) -> f64 {
+        debug_assert_eq!(
+            self.cwnd.to_bits(),
+            self.cc.cwnd().to_bits(),
+            "cached cwnd {} is stale: the controller reports {}",
+            self.cwnd,
+            self.cc.cwnd()
+        );
+        self.cwnd
+    }
+
+    /// Scales the controller's later window increases (MPTCP's LIA). The
+    /// current window does not change, so the cache stays valid.
+    pub fn set_increase_scale(&mut self, scale: f64) {
+        self.cc.set_increase_scale(scale);
+    }
+
     /// Room for one more segment under the congestion window.
     pub fn window_space(&self) -> bool {
-        (self.outstanding() as f64) < self.cc.cwnd()
+        (self.outstanding() as f64) < self.cwnd()
     }
 
     /// Smoothed RTT (1 s before any sample, per RFC 6298).
@@ -673,7 +705,7 @@ impl FlowCore {
             match self.recovery {
                 Some(high) if ack >= high => {
                     self.recovery = None;
-                    self.cc.on_ack(out.newly_acked, now_s, srtt);
+                    self.cc_on_ack(out.newly_acked, now_s, srtt);
                 }
                 Some(_) => {
                     // Still recovering: fill more holes. Window growth is
@@ -682,7 +714,7 @@ impl FlowCore {
                     // must rebuild from 1 even while old holes drain, or a
                     // deep overshoot turns into a one-packet-per-RTT crawl.
                     if self.cc.in_slow_start() {
-                        self.cc.on_ack(out.newly_acked, now_s, srtt);
+                        self.cc_on_ack(out.newly_acked, now_s, srtt);
                     }
                     self.collect_retransmits(out);
                     if out.retransmits.is_empty() {
@@ -695,7 +727,7 @@ impl FlowCore {
                     }
                 }
                 None => {
-                    self.cc.on_ack(out.newly_acked, now_s, srtt);
+                    self.cc_on_ack(out.newly_acked, now_s, srtt);
                 }
             }
         } else if ack == self.snd_una && self.has_outstanding() {
@@ -704,6 +736,7 @@ impl FlowCore {
             if (self.dup_acks as usize >= DUP_THRESH || enough_sacks) && self.recovery.is_none() {
                 // Enter fast recovery.
                 self.cc.on_loss_event(now.as_secs_f64());
+                self.cwnd = self.cc.cwnd();
                 self.recovery = Some(self.next_seq);
                 self.recovery_epoch += 1;
                 self.collect_retransmits(out);
@@ -724,7 +757,7 @@ impl FlowCore {
         let Some(high) = self.recovery else {
             return;
         };
-        let budget = (self.cc.cwnd() - self.outstanding() as f64).max(1.0) as usize;
+        let budget = (self.cwnd() - self.outstanding() as f64).max(1.0) as usize;
         let picked = self.board.pick_lost(
             self.snd_una,
             high,
@@ -734,6 +767,12 @@ impl FlowCore {
         );
         self.retransmissions += picked as u64;
         self.packets_sent += picked as u64;
+    }
+
+    /// Feeds an ACK to the controller and refreshes the cached window.
+    fn cc_on_ack(&mut self, n: u64, now_s: f64, srtt_s: f64) {
+        self.cc.on_ack(n, now_s, srtt_s);
+        self.cwnd = self.cc.cwnd();
     }
 
     fn force_retransmit(&mut self, seq: u64, out: &mut FlowActions) {
@@ -763,6 +802,7 @@ impl FlowCore {
         self.timeouts += 1;
         self.consec_timeouts += 1;
         self.cc.on_timeout(now.as_secs_f64());
+        self.cwnd = self.cc.cwnd();
         self.dup_acks = 0;
         self.recovery = None;
         self.recovery_epoch += 1;
@@ -911,13 +951,13 @@ mod tests {
     fn cumulative_ack_advances_and_grows_window() {
         let mut c = core();
         send_n(&mut c, 10);
-        let w0 = c.cc.cwnd();
+        let w0 = c.cwnd();
         let a = c.handle_ack(10, 9, 0, SimTime::from_millis(50));
         assert!(a.advanced);
         assert_eq!(a.newly_acked, 10);
         assert_eq!(c.snd_una(), 10);
         assert_eq!(c.outstanding(), 0);
-        assert!(c.cc.cwnd() > w0);
+        assert!(c.cwnd() > w0);
     }
 
     #[test]
@@ -1005,7 +1045,7 @@ mod tests {
         assert!(a.stranded_aux.is_empty(), "no reinjection on first RTO");
         assert_eq!(a.retransmits.len(), 1);
         assert!(c.current_rto > rto0);
-        assert_eq!(c.cc.cwnd(), 1.0);
+        assert_eq!(c.cwnd(), 1.0);
         // Second consecutive timeout: the path looks dead — everything
         // un-SACKed is offered for reinjection.
         let e2 = c.arm_rto();

@@ -112,11 +112,11 @@ fn assert_cores_match(fast: &FlowCore, reference: &FlowCore, step: usize) {
     // The congestion window must agree to the last mantissa bit: the
     // goldens digest goodput series that integrate cwnd over time.
     assert_eq!(
-        fast.cc.cwnd().to_bits(),
-        reference.cc.cwnd().to_bits(),
+        fast.cwnd().to_bits(),
+        reference.cwnd().to_bits(),
         "cwnd bits @ {step}: fast {} vs reference {}",
-        fast.cc.cwnd(),
-        reference.cc.cwnd()
+        fast.cwnd(),
+        reference.cwnd()
     );
     assert_eq!(
         fast.retransmission_rate().to_bits(),

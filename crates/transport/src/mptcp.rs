@@ -129,6 +129,34 @@ impl LeoGuard {
     }
 }
 
+/// LIA's α and the connection's total window from each subflow's
+/// `(cwnd, srtt_s)`, in one pass; `None` when either is not positive.
+///
+/// Bit-identical to the three iterator chains it replaced: the loop
+/// visits subflows in the same order, the two sums start from −0.0 as
+/// `Iterator::sum` for `f64` does, the maximum folds from 0.0 with
+/// `f64::max(acc, x)`, and the squares are the same `powi(2)`.
+fn lia_alpha(windows: impl Iterator<Item = (f64, f64)>) -> Option<(f64, f64)> {
+    let (mut total, mut best, mut rate) = (-0.0, 0.0, -0.0);
+    for (cwnd, srtt) in windows {
+        total += cwnd;
+        best = f64::max(best, cwnd / srtt.powi(2));
+        rate += cwnd / srtt;
+    }
+    let denom = rate.powi(2);
+    if denom <= 0.0 || total <= 0.0 {
+        return None;
+    }
+    Some((total * best / denom, total))
+}
+
+/// A subflow's LIA increase scale. Per-ACK increase = min(α/total,
+/// 1/cwnd_i); our controllers add `scale / cwnd_i`, so scale_i =
+/// min(α·cwnd_i/total, 1).
+fn lia_scale(alpha: f64, total: f64, cwnd: f64) -> f64 {
+    (alpha * cwnd / total).min(1.0)
+}
+
 /// Per-subflow sender state: a [`FlowCore`] plus its link.
 struct Subflow {
     link: LinkId,
@@ -250,27 +278,16 @@ impl MptcpSender {
         if !self.cfg.coupled || self.subflows.len() < 2 {
             return;
         }
-        let total: f64 = self.subflows.iter().map(|s| s.core.cc.cwnd()).sum();
-        let best = self
+        let windows = self
             .subflows
             .iter()
-            .map(|s| s.core.cc.cwnd() / s.core.srtt_s().powi(2))
-            .fold(0.0, f64::max);
-        let denom: f64 = self
-            .subflows
-            .iter()
-            .map(|s| s.core.cc.cwnd() / s.core.srtt_s())
-            .sum::<f64>()
-            .powi(2);
-        if denom <= 0.0 || total <= 0.0 {
+            .map(|s| (s.core.cwnd(), s.core.srtt_s()));
+        let Some((alpha, total)) = lia_alpha(windows) else {
             return;
-        }
-        let alpha = total * best / denom;
+        };
         for s in &mut self.subflows {
-            // Per-ACK increase = min(α/total, 1/cwnd_i); our controllers
-            // add `scale / cwnd_i`, so scale_i = min(α·cwnd_i/total, 1).
-            let scale = (alpha * s.core.cc.cwnd() / total).min(1.0);
-            s.core.cc.set_increase_scale(scale);
+            let scale = lia_scale(alpha, total, s.core.cwnd());
+            s.core.set_increase_scale(scale);
         }
     }
 
@@ -352,7 +369,7 @@ impl MptcpSender {
             self.views
                 .extend(self.subflows.iter().enumerate().map(|(i, s)| SubflowView {
                     srtt_s: s.core.srtt_s(),
-                    cwnd: s.core.cc.cwnd(),
+                    cwnd: s.core.cwnd(),
                     has_space: space & (1u64 << i) != 0,
                     last_loss_ms: s.last_loss_ms,
                     last_timeout_ms: s.last_timeout_ms,
@@ -385,7 +402,7 @@ impl MptcpSender {
                 let fast_core = &self.subflows[fastest].core;
                 let rtt_f = fast_core.srtt_s();
                 let rtt_s = self.subflows[slow].core.srtt_s();
-                self.slow_path_decision(slow, fast_core.cc.cwnd(), rtt_f, rtt_s)
+                self.slow_path_decision(slow, fast_core.cwnd(), rtt_f, rtt_s)
             }
         }
     }
@@ -708,6 +725,7 @@ mod tests {
     use super::*;
     use crate::transfer::{self, Endpoints, TransferOutcome};
     use leo_netsim::{ConstPipe, SimTime, Simulator};
+    use proptest::prelude::*;
 
     /// One emulated path's parameters.
     struct Path {
@@ -1153,6 +1171,47 @@ mod tests {
             );
             assert_eq!(r.data_rcv_nxt(), 3, "stream complete across subflows");
         });
+    }
+
+    /// The three-pass LIA that [`lia_alpha`] replaced, verbatim: each
+    /// subflow's increase scale from its `(cwnd, srtt_s)`.
+    fn lia_scales_three_pass(w: &[(f64, f64)]) -> Option<Vec<f64>> {
+        let total: f64 = w.iter().map(|&(c, _)| c).sum();
+        let best = w.iter().map(|&(c, r)| c / r.powi(2)).fold(0.0, f64::max);
+        let denom: f64 = w.iter().map(|&(c, r)| c / r).sum::<f64>().powi(2);
+        if denom <= 0.0 || total <= 0.0 {
+            return None;
+        }
+        let alpha = total * best / denom;
+        Some(
+            w.iter()
+                .map(|&(c, _)| (alpha * c / total).min(1.0))
+                .collect(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn one_pass_lia_matches_the_three_pass_oracle(
+            w in prop::collection::vec(
+                (
+                    // Repeated windows and RTTs (1 s is the RTT before any
+                    // sample) tie the maximum; the ranges cover the rest.
+                    prop_oneof![Just(1.0), Just(4.0), Just(10.0), 1.0..5_000.0f64],
+                    prop_oneof![Just(1.0), Just(0.04), 0.001..3.0f64],
+                ),
+                1..9,
+            )
+        ) {
+            let one_pass = lia_alpha(w.iter().copied()).map(|(alpha, total)| {
+                w.iter().map(|&(c, _)| lia_scale(alpha, total, c)).collect::<Vec<_>>()
+            });
+            let bits = |v: Option<Vec<f64>>| {
+                v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            prop_assert_eq!(bits(one_pass), bits(lia_scales_three_pass(&w)), "{:?}", w);
+        }
     }
 
     #[test]

@@ -138,6 +138,12 @@ impl SeqBitmap {
         if n <= self.base {
             return;
         }
+        if self.count == 0 {
+            // Every word is already zero: moving the base is the whole
+            // advance (a slot depends on the word index alone).
+            self.base = n;
+            return;
+        }
         let end_word = n >> 6;
         let top_word = self.base_word() + self.words.len() as u64;
         let mut w = self.base_word();

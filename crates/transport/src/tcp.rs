@@ -85,7 +85,7 @@ impl TcpSender {
 
     /// Current congestion window, packets.
     pub fn cwnd(&self) -> f64 {
-        self.core.cc.cwnd()
+        self.core.cwnd()
     }
 
     fn send_segment(&mut self, ctx: &mut Context, seq: u64) {

@@ -37,10 +37,7 @@ fn main() {
 
     let mut specs: Vec<ScenarioSpec> = match cli::text(&args, "--spec") {
         Some(path) => {
-            let text =
-                std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-            let custom: Vec<ScenarioSpec> =
-                serde_json::from_str(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
+            let custom = read_specs(&path);
             // Baseline first, so the report's delta columns have a
             // reference even for fully custom sweeps.
             let mut specs = vec![builtin(BASELINE).expect("baseline exists")];
@@ -89,4 +86,26 @@ fn main() {
             eprintln!("Wrote obs run report to {path}");
         }
     }
+}
+
+/// The scenarios in the `--spec` file at `path`. Exits 2 before any work
+/// when the file cannot be read or parsed, or when a spec's
+/// `overrides.scale` lies outside (0, 1], which the campaign generator
+/// would otherwise reject with a panic inside a worker.
+fn read_specs(path: &str) -> Vec<ScenarioSpec> {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| cli::fail(&format!("cannot read --spec file {path}: {e}")));
+    let specs: Vec<ScenarioSpec> = serde_json::from_str(&text)
+        .unwrap_or_else(|e| cli::fail(&format!("cannot parse --spec file {path}: {e}")));
+    for spec in &specs {
+        if let Some(scale) = spec.overrides.scale {
+            if !(scale > 0.0 && scale <= 1.0) {
+                cli::fail(&format!(
+                    "--spec file {path}: scenario {:?}: overrides.scale {scale} is outside (0, 1]",
+                    spec.name
+                ));
+            }
+        }
+    }
+    specs
 }
