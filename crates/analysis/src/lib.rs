@@ -18,13 +18,9 @@ pub mod cdf;
 pub mod coverage;
 pub mod render;
 pub mod stats;
-pub mod timeseries;
 
 pub use apps::{default_catalogue, satisfaction, satisfaction_table, AppRequirement};
 pub use cdf::Cdf;
 pub use coverage::{best_of, coverage_proportions, CoverageLevel};
 pub use render::{render_bars, render_box_row, render_cdf, render_heat_strip};
 pub use stats::{improvement_pct, mean, BoxStats};
-pub use timeseries::{
-    coefficient_of_variation, fluctuation_index, longest_run_below, moving_average,
-};

@@ -144,7 +144,7 @@ impl CellularLinkModel {
             assert_eq!(samples.len(), areas.len(), "one area per sample");
         }
         let start = drive.first().map(|s| s.t_s).unwrap_or(0);
-        let mut geometry = Geometry::default();
+        let mut geometry = Geometry::new();
         let mut radios: Vec<Radio> = variants
             .iter()
             .map(|_| Radio::new(&self.config, start, drive.len()))
@@ -165,6 +165,10 @@ impl CellularLinkModel {
                 }
             }
         }
+        leo_obs::incr("cellular.geometry.seconds", drive.len() as u64);
+        leo_obs::incr("cellular.geometry.reuses", geometry.reuses);
+        leo_obs::incr("cellular.shadow.draws", geometry.shadow_draws);
+        leo_obs::incr("cellular.shadow.reuses", geometry.shadow_reuses);
         let label = self.config.carrier.label();
         radios
             .into_iter()
@@ -194,6 +198,8 @@ fn same_place(a: &EnvironmentSample, b: &EnvironmentSample) -> bool {
 struct SiteLink {
     site: BaseStation,
     d_km: f64,
+    /// The site's shadowing in the sample's km segment.
+    shadow_db: f64,
     rx_dbm: f64,
 }
 
@@ -205,52 +211,156 @@ struct Serving {
     handover: bool,
 }
 
-/// The geometry step's state: the serving site and the nearest-site
-/// search's scratch.
-#[derive(Default)]
+/// Candidate sites per second: the nearest ones, of which the best in
+/// range may take over.
+const CANDIDATES: usize = 4;
+
+/// What the geometry step reads of a sample, bit for bit: latitude,
+/// longitude and the km segment that keys shadowing.
+type PlaceKey = (u64, u64, u64);
+
+/// The geometry step's state: the serving site, the nearest-site
+/// search's scratch, and what the last computed step left.
+///
+/// A step reads three inputs: the sample's position, its km segment and
+/// `serving` (the model is fixed for the whole trace, and `t_s` is read
+/// only by the radio step). Two reuses follow from that, both exact:
+///
+/// - **Place.** After a step at place P returns r, `serving` is the site
+///   r serves, or `None` when r is `None`. A second step at P builds the
+///   same links and the same best candidate, and every case (first
+///   attach, handover, hold under hysteresis, current site in range with
+///   no best, current site out of range going to outage, outage) then
+///   returns r with `handover: false` and leaves `serving` as it was. So
+///   a step whose [`PlaceKey`] equals the last computed one returns that
+///   result with `handover: false` and touches nothing else. Bit
+///   equality covers NaN positions too, as the computation is
+///   deterministic; `-0.0` against `0.0` merely misses.
+/// - **Shadowing.** [`shadowing_db`] is a pure function of (seed, site,
+///   segment). While the segment holds, a site among the last computed
+///   step's links takes its shadow from there instead of drawing it
+///   again; that includes the serving site's link when it is not among
+///   the nearest candidates.
 struct Geometry {
     serving: Option<BaseStation>,
     nearest: NearestScratch,
+    /// The last computed step's links; during a step, this step's links
+    /// follow them.
     links: Vec<SiteLink>,
+    /// The last computed step's place and result.
+    last: Option<(PlaceKey, Option<Serving>)>,
+    /// Steps answered from `last`.
+    reuses: u64,
+    /// Shadows drawn, and shadows taken from the last step's links.
+    shadow_draws: u64,
+    shadow_reuses: u64,
 }
 
 impl Geometry {
-    /// Serving-cell selection with hysteresis for one second; `None` is
-    /// an outage. Each kept candidate's distance and rx power serve both
-    /// the handover check and the serving link's evaluation.
+    fn new() -> Self {
+        Self {
+            serving: None,
+            nearest: NearestScratch::default(),
+            // Two steps' links: each step's candidates and the serving
+            // site's own link when it is not among them.
+            links: Vec::with_capacity(2 * (CANDIDATES + 1)),
+            last: None,
+            reuses: 0,
+            shadow_draws: 0,
+            shadow_reuses: 0,
+        }
+    }
+
+    /// The serving link for one second; `None` is an outage.
     fn step(&mut self, m: &CellularLinkModel, sample: &EnvironmentSample) -> Option<Serving> {
         let segment = sample.travelled_km.floor() as u64;
-        let link_to = |site: BaseStation, d_km: f64| {
-            let sh = shadowing_db(&m.radio, m.config.seed, site.id, segment);
+        let key = (
+            sample.position.lat_deg.to_bits(),
+            sample.position.lon_deg.to_bits(),
+            segment,
+        );
+        match self.last {
+            Some((last, r)) if last == key => {
+                self.reuses += 1;
+                return r.map(|s| Serving {
+                    handover: false,
+                    ..s
+                });
+            }
+            // The last step's links carry this segment's shadows.
+            Some(((.., last_segment), _)) if last_segment == segment => {}
+            _ => self.links.clear(),
+        }
+        let r = self.select(m, sample, segment);
+        self.last = Some((key, r));
+        r
+    }
+
+    /// Serving-cell selection with hysteresis; `None` is an outage. Each
+    /// kept candidate's distance and rx power serve both the handover
+    /// check and the serving link's evaluation.
+    fn select(
+        &mut self,
+        m: &CellularLinkModel,
+        sample: &EnvironmentSample,
+        segment: u64,
+    ) -> Option<Serving> {
+        let Self {
+            serving,
+            nearest,
+            links,
+            shadow_draws,
+            shadow_reuses,
+            ..
+        } = self;
+        // `links[..prev]`: the last step's links, which `step` keeps only
+        // while the segment holds. This step's links follow them.
+        let prev = links.len();
+        let mut link_to = |links: &[SiteLink], site: BaseStation, d_km: f64| {
+            let shadow_db = match links[..prev].iter().find(|l| l.site.id == site.id) {
+                Some(l) => {
+                    *shadow_reuses += 1;
+                    l.shadow_db
+                }
+                None => {
+                    *shadow_draws += 1;
+                    shadowing_db(&m.radio, m.config.seed, site.id, segment)
+                }
+            };
             SiteLink {
                 site,
                 d_km,
-                rx_dbm: m.radio.rx_power_dbm(d_km, sh),
+                shadow_db,
+                rx_dbm: m.radio.rx_power_dbm(d_km, shadow_db),
             }
         };
 
-        let links = &mut self.links;
-        links.clear();
-        links.extend(
-            m.deployment
-                .nearest_with(&sample.position, 4, &mut self.nearest)
-                .iter()
-                .map(|&(s, d)| link_to(s, d)),
-        );
-        let best = links
+        for &(site, d_km) in m
+            .deployment
+            .nearest_with(&sample.position, CANDIDATES, nearest)
+        {
+            let link = link_to(links, site, d_km);
+            links.push(link);
+        }
+        let best = links[prev..]
             .iter()
             .filter(|l| l.d_km <= l.site.rat.range_km())
             // total_cmp, not partial_cmp().expect(): a NaN rx power
             // orders deterministically instead of aborting the trace.
             .max_by(|a, b| a.rx_dbm.total_cmp(&b.rx_dbm))
             .copied();
-        let current = |cur: BaseStation| {
-            links
-                .iter()
-                .find(|l| l.site.id == cur.id)
-                .copied()
-                .unwrap_or_else(|| link_to(cur, cur.location.distance_km(&sample.position)))
-        };
+        let current = serving.map(|cur| {
+            match links[prev..].iter().find(|l| l.site.id == cur.id) {
+                Some(&c) => c,
+                None => {
+                    let c = link_to(links, cur, cur.location.distance_km(&sample.position));
+                    // Kept, so that the next step finds its shadow.
+                    links.push(c);
+                    c
+                }
+            }
+        });
+        links.drain(..prev);
         let keep = |link| {
             Some(Serving {
                 link,
@@ -258,18 +368,17 @@ impl Geometry {
             })
         };
 
-        match (self.serving, best) {
+        match (current, best) {
             (None, Some(b)) => {
-                self.serving = Some(b.site);
+                *serving = Some(b.site);
                 keep(b)
             }
-            (Some(cur), Some(b)) => {
-                let c = current(cur);
-                let cur_in_range = c.d_km <= cur.rat.range_km();
+            (Some(c), Some(b)) => {
+                let cur_in_range = c.d_km <= c.site.rat.range_km();
                 if !cur_in_range
-                    || (b.site.id != cur.id && b.rx_dbm > c.rx_dbm + m.config.hysteresis_db)
+                    || (b.site.id != c.site.id && b.rx_dbm > c.rx_dbm + m.config.hysteresis_db)
                 {
-                    self.serving = Some(b.site);
+                    *serving = Some(b.site);
                     Some(Serving {
                         link: b,
                         handover: true,
@@ -278,12 +387,11 @@ impl Geometry {
                     keep(c)
                 }
             }
-            (Some(cur), None) => {
-                let c = current(cur);
-                if c.d_km <= cur.rat.range_km() {
+            (Some(c), None) => {
+                if c.d_km <= c.site.rat.range_km() {
                     keep(c)
                 } else {
-                    self.serving = None;
+                    *serving = None;
                     None
                 }
             }
@@ -317,7 +425,9 @@ impl Radio {
         serving: Option<Serving>,
     ) {
         let Some(Serving {
-            link: SiteLink { site, d_km, rx_dbm },
+            link: SiteLink {
+                site, d_km, rx_dbm, ..
+            },
             handover,
         }) = serving
         else {
@@ -611,6 +721,100 @@ mod tests {
             .collect()
     }
 
+    /// A stop-and-go drive from `from` along `bearing`. Each leg
+    /// `(move_km, dwell_s, kind)` moves on by `move_km`, then holds its
+    /// place for `dwell_s` seconds: kinds 0–2 hold a NaN latitude,
+    /// longitude or both, kinds 3–4 hold the position while the odometer
+    /// runs on at 0.35 km/s (so km segments change at a place that does
+    /// not move), and every other kind holds still.
+    fn stop_and_go(
+        from: GeoPoint,
+        bearing: f64,
+        legs: &[(f64, u64, u8)],
+    ) -> Vec<EnvironmentSample> {
+        let (mut along_km, mut odometer_km) = (0.0, 0.0);
+        let mut out = Vec::new();
+        for &(move_km, dwell_s, kind) in legs {
+            along_km += move_km;
+            odometer_km += move_km;
+            let mut position = from.destination(bearing, along_km);
+            match kind {
+                0 => position.lat_deg = f64::NAN,
+                1 => position.lon_deg = f64::NAN,
+                2 => {
+                    position = GeoPoint {
+                        lat_deg: f64::NAN,
+                        lon_deg: f64::NAN,
+                    }
+                }
+                _ => {}
+            }
+            for _ in 0..dwell_s {
+                out.push(EnvironmentSample {
+                    t_s: 1_000 + out.len() as u64,
+                    position,
+                    speed_kmh: 0.0,
+                    heading_deg: bearing,
+                    day_phase: DayPhase::Day,
+                    weather: Weather::Clear,
+                    travelled_km: odometer_km,
+                });
+                if matches!(kind, 3 | 4) {
+                    odometer_km += 0.35;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn stop_and_go_drive_repeats_every_kind_of_step() {
+        // 200 legs of a 0–3 km move and a 1–40-s dwell, south-east
+        // across the Lakeport–Brewton corridor on AT&T's sparse grid: a
+        // held place follows each kind of step the place reuse must
+        // reproduce.
+        let legs: Vec<(f64, u64, u8)> = (0..200)
+            .map(|k| {
+                let h = mix(0x570b, k);
+                let move_km = (h >> 11) as f64 / (1u64 << 53) as f64 * 3.0;
+                (move_km, 1 + (h >> 3) % 40, (h % 10) as u8)
+            })
+            .collect();
+        let s = stop_and_go(GeoPoint::new(44.5, -91.5), 135.0, &legs);
+        let m = model(Carrier::Att);
+        assert_matches_oracle(&m, &s);
+
+        let mut geometry = Geometry::new();
+        let got: Vec<_> = s.iter().map(|x| geometry.step(&m, x)).collect();
+        let key = |x: &EnvironmentSample| {
+            (
+                x.position.lat_deg.to_bits(),
+                x.position.lon_deg.to_bits(),
+                x.travelled_km.floor() as u64,
+            )
+        };
+        // Held places after: a handover, service lost out of range, a
+        // NaN position; and segment changes at a held position.
+        let mut cases = [0; 4];
+        for t in 2..s.len() {
+            let ((lat, lon, segment), (lat0, lon0, segment0)) = (key(&s[t]), key(&s[t - 1]));
+            if (lat, lon) != (lat0, lon0) {
+                continue;
+            }
+            if segment != segment0 {
+                cases[3] += 1;
+                continue;
+            }
+            let finite = s[t].position.lat_deg.is_finite() && s[t].position.lon_deg.is_finite();
+            cases[0] += usize::from(got[t - 1].is_some_and(|g| g.handover));
+            cases[1] += usize::from(finite && got[t - 1].is_none() && got[t - 2].is_some());
+            cases[2] += usize::from(!finite);
+        }
+        let held = (1..s.len()).filter(|&t| key(&s[t]) == key(&s[t - 1]));
+        assert_eq!(geometry.reuses as usize, held.count());
+        assert!(cases.iter().all(|&n| n >= 3), "cases {cases:?}");
+    }
+
     #[test]
     fn trace_matches_oracle_on_dense_urban_loop() {
         // Lakeshore's 3×3 block holds ≈225 Verizon sites.
@@ -699,6 +903,34 @@ mod tests {
                     }
                 }
             }
+            let mut vs = variants(&s, salt);
+            vs.truncate(n_variants);
+            assert_variants_match_oracle(&models()[carrier], &vs);
+        }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random [`stop_and_go`] drives from up to 40 km off the
+        /// corridor, so that they hand over and leave coverage: every
+        /// held second of every variant equals the oracle's fresh step.
+        #[test]
+        fn stop_and_go_drive_matches_oracle_for_every_variant(
+            carrier in 0usize..3,
+            leg in 0usize..2,
+            along in 0.0..1.0f64,
+            off_bearing in 0.0..360.0f64,
+            off_km in 0.0..40.0f64,
+            bearing in 0.0..360.0f64,
+            legs in prop::collection::vec((0.0..6.0f64, 1u64..=40, 0u8..10), 1..60),
+            n_variants in 1usize..4,
+            salt in 0u64..u64::MAX,
+        ) {
+            let c = corridor();
+            let from = c[leg].interpolate(&c[leg + 1], along).destination(off_bearing, off_km);
+            let s = stop_and_go(from, bearing, &legs);
             let mut vs = variants(&s, salt);
             vs.truncate(n_variants);
             assert_variants_match_oracle(&models()[carrier], &vs);

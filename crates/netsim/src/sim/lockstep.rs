@@ -89,10 +89,10 @@ impl Agent for Chatter {
                     Packet::ack(packet.id, packet.flow, packet.seq + 1, ctx.now()),
                 );
             }
-        } else if self.draw() % 3 == 0 {
+        } else if self.draw().is_multiple_of(3) {
             self.send_data(ctx, 1);
         }
-        if self.draw() % 16 == 0 {
+        if self.draw().is_multiple_of(16) {
             self.arm(ctx, packet.id);
         }
     }
@@ -106,7 +106,7 @@ impl Agent for Chatter {
         let burst = 1 + self.draw() % 8;
         self.send_data(ctx, burst);
         self.arm(ctx, timer_id + 1);
-        if self.draw() % 5 == 0 {
+        if self.draw().is_multiple_of(5) {
             self.arm(ctx, timer_id + 1_000);
         }
     }

@@ -97,7 +97,7 @@ proptest! {
                 Op::Pop => {
                     let want = heap.peek().map(|Reverse((at, s))| (*at, *s));
                     prop_assert_eq!(cal.peek(), want);
-                    if seq % 2 == 0 {
+                    if seq.is_multiple_of(2) {
                         let want = heap.pop().map(|Reverse((at, s))| (at, s, s));
                         prop_assert_eq!(cal.pop(), want);
                     }
