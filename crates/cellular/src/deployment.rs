@@ -66,6 +66,9 @@ pub struct Deployment {
     /// chord to a site never exceeds the great-circle distance to it.
     #[serde(skip)]
     ecef: Vec<Ecef>,
+    /// [`GeoPoint::cos_lat`] of each site (index = id), for the haversine.
+    #[serde(skip)]
+    cos_lat: Vec<f64>,
     /// 0.15°-cell grid index: cell → site indices.
     #[serde(skip)]
     grid: HashMap<(i32, i32), Vec<u32>>,
@@ -83,13 +86,19 @@ fn grid_cell(p: &GeoPoint) -> (i32, i32) {
 
 /// Reusable state of nearest-site queries on one deployment: the
 /// ring-scan candidates of the last grid cell queried (they depend only
-/// on the cell and `n`) and the kept nearest sites.
+/// on the cell and `n`) and the kept nearest sites, which seed the next
+/// query's search.
 #[derive(Debug, Default)]
 pub(crate) struct NearestScratch {
     /// The `(cell, n)` that `candidates` were scanned for.
     scanned: Option<((i32, i32), usize)>,
     candidates: Vec<u32>,
+    /// The last answer. Emptied whenever the ring scan reruns, so every
+    /// site in it is one of `candidates`.
     nearest: Vec<(BaseStation, f64)>,
+    /// The last answer's site ids with their distances to the current
+    /// query point.
+    seeds: Vec<(u32, f64)>,
 }
 
 impl Deployment {
@@ -174,9 +183,15 @@ impl Deployment {
         for s in &sites {
             grid.entry(grid_cell(&s.location)).or_default().push(s.id);
         }
+        // One pass, so the latitude's cosine is computed once for both.
+        let (ecef, cos_lat) = sites
+            .iter()
+            .map(|s| (s.location.to_ecef(0.0), s.location.cos_lat()))
+            .unzip();
         Self {
             carrier,
-            ecef: sites.iter().map(|s| s.location.to_ecef(0.0)).collect(),
+            ecef,
+            cos_lat,
             sites,
             grid,
         }
@@ -209,33 +224,74 @@ impl Deployment {
     }
 
     /// [`nearest_sites`](Self::nearest_sites) into reusable `scratch`,
-    /// which skips the ring scan while queries stay in one grid cell.
-    /// `scratch` must only ever serve this deployment.
+    /// which skips the ring scan while queries stay in one grid cell and
+    /// seeds the search with the last answer's sites. `scratch` must only
+    /// ever serve this deployment.
+    ///
+    /// The seed is exact. The last answer's n sites are all candidates of
+    /// this scan (a rescan forgets them), so the largest of their
+    /// distances to `p`, D, bounds the n-th nearest distance from above,
+    /// and the chord bound starts from D instead of from nothing. A site
+    /// it prunes has chord > bound ≥ D ≥ the n-th distance, so it is
+    /// strictly farther than every site kept and cannot enter the stable
+    /// top n. The sites that pass go through the insert in scan order, so
+    /// ties keep their scan order. A NaN query point gives a NaN D, which
+    /// prunes nothing.
     pub(crate) fn nearest_with<'s>(
         &self,
         p: &GeoPoint,
         n: usize,
         scratch: &'s mut NearestScratch,
     ) -> &'s [(BaseStation, f64)] {
+        let NearestScratch {
+            scanned,
+            candidates,
+            nearest,
+            seeds,
+        } = scratch;
         let cell = grid_cell(p);
-        if scratch.scanned != Some((cell, n)) {
-            self.ring_scan(cell, n, &mut scratch.candidates);
-            scratch.scanned = Some((cell, n));
+        if *scanned != Some((cell, n)) {
+            self.ring_scan(cell, n, candidates);
+            *scanned = Some((cell, n));
+            nearest.clear();
         }
-        let q = p.to_ecef(0.0);
-        let nearest = &mut scratch.nearest;
+        let cos_p = p.cos_lat();
+        let distance = |id: u32| {
+            self.sites[id as usize]
+                .location
+                .distance_km_cos(self.cos_lat[id as usize], p, cos_p)
+        };
+        seeds.clear();
+        seeds.extend(nearest.iter().map(|(s, _)| (s.id, distance(s.id))));
         nearest.clear();
         // Squared chord beyond which a site cannot enter a full `nearest`:
         // NaN, which prunes nothing, until `nearest` is full or while its
-        // farthest distance is NaN.
+        // farthest distance is NaN. chord ≤ great-circle distance, so a
+        // chord beyond the farthest kept distance rules a site out. The
+        // margin (1e-9 relative plus 1 µm) dwarfs the rounding of both
+        // formulas (≈1e-15 relative, ≈1e-11 km absolute).
+        let bound = |d: f64| (d * (1.0 + 1e-9) + 1e-9).powi(2);
         let mut prune_chord2 = f64::NAN;
-        for &id in &scratch.candidates {
+        if n > 0 && seeds.len() == n {
+            // The seeds' largest distance, NaN if any of them is NaN.
+            let mut d_max = 0.0;
+            for &(_, d) in seeds.iter() {
+                if d > d_max || d.is_nan() {
+                    d_max = d;
+                }
+            }
+            prune_chord2 = bound(d_max);
+        }
+        let q = p.to_ecef(0.0);
+        for &id in candidates.iter() {
             let v = self.ecef[id as usize].sub(&q);
             if v.dot(&v) > prune_chord2 {
                 continue;
             }
-            let s = self.sites[id as usize];
-            let d = s.location.distance_km(p);
+            let d = match seeds.iter().find(|(seed, _)| *seed == id) {
+                Some(&(_, d)) => d,
+                None => distance(id),
+            };
             // After every kept site at least as near: a stable sort's
             // order. total_cmp, not partial_cmp().expect(): a NaN
             // distance (a NaN query point) orders deterministically
@@ -247,13 +303,9 @@ impl Deployment {
             if nearest.len() == n {
                 nearest.pop();
             }
-            nearest.insert(at, (s, d));
+            nearest.insert(at, (self.sites[id as usize], d));
             if nearest.len() == n {
-                // chord ≤ great-circle distance, so a chord beyond the
-                // farthest kept distance rules a site out. The margin
-                // (1e-9 relative plus 1 µm) dwarfs the rounding of both
-                // formulas (≈1e-15 relative, ≈1e-11 km absolute).
-                prune_chord2 = (nearest[n - 1].1 * (1.0 + 1e-9) + 1e-9).powi(2);
+                prune_chord2 = bound(nearest[n - 1].1);
             }
         }
         nearest
@@ -474,6 +526,145 @@ mod tests {
                     &dep.nearest_sites_oracle(&p, n),
                     &ctx,
                 );
+            }
+        }
+    }
+
+    /// Where a walk starts: a point `frac` of the way along the corridor
+    /// (its cities and its rural legs) for a generated deployment, one of
+    /// five points around the co-located sites for the hand-built one;
+    /// then the grid corner nearest to it, moved by up to 0.002° (≈ 220 m)
+    /// each way, so the walk crosses cell edges.
+    fn walk_start(hand_built: bool, frac: f64, dlat: f64, dlon: f64) -> GeoPoint {
+        let near = if hand_built {
+            [
+                (0.07, 0.07),
+                (0.0, 0.0),
+                (0.15, 0.0),
+                (0.0, 0.15),
+                (0.15, 0.15),
+            ][((frac * 5.0) as usize).min(4)]
+        } else {
+            let c = corridor();
+            let along = frac * (c.len() - 1) as f64;
+            let leg = (along as usize).min(c.len() - 2);
+            let p = c[leg].interpolate(&c[leg + 1], along - leg as f64);
+            (p.lat_deg, p.lon_deg)
+        };
+        let snap = |deg: f64| (deg / GRID_DEG).round() * GRID_DEG;
+        GeoPoint::new(snap(near.0) + dlat, snap(near.1) + dlon)
+    }
+
+    /// One walk through one persistent scratch, checked against the
+    /// oracle at every step. A step holds the place, queries a NaN
+    /// position, picks a new `n`, turns back, or moves 0–40 m; returns the
+    /// grid cells of the walk's positions, in order (a NaN query has none).
+    fn walk_against_oracle(
+        dep: &Deployment,
+        start: GeoPoint,
+        mut heading: f64,
+        mut n: usize,
+        steps: &[(u8, f64, f64)],
+    ) -> Vec<(i32, i32)> {
+        let mut scratch = NearestScratch::default();
+        let mut pos = start;
+        let mut cells = Vec::new();
+        for (i, &(kind, a, b)) in steps.iter().enumerate() {
+            let nan = f64::NAN;
+            let query = match kind {
+                0..=3 => pos,
+                4 => GeoPoint {
+                    lat_deg: nan,
+                    ..pos
+                },
+                5 => GeoPoint {
+                    lon_deg: nan,
+                    ..pos
+                },
+                6 => GeoPoint {
+                    lat_deg: nan,
+                    lon_deg: nan,
+                },
+                7 => {
+                    n = 1 + (a * 6.0) as usize;
+                    pos
+                }
+                8 => {
+                    heading += 180.0;
+                    pos = pos.destination(heading, a * 0.04);
+                    pos
+                }
+                _ => {
+                    pos = pos.destination(heading + (b - 0.5) * 60.0, a * 0.04);
+                    pos
+                }
+            };
+            let want = dep.nearest_sites_oracle(&query, n);
+            let ctx = format!("{} step {i} n={n} at {query:?}", dep.carrier);
+            assert_same(dep.nearest_with(&query, n, &mut scratch), &want, &ctx);
+            if !(query.lat_deg.is_nan() || query.lon_deg.is_nan()) {
+                cells.push(grid_cell(&query));
+            }
+        }
+        cells
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn seeded_search_matches_oracle_along_random_walks(
+            which in 0usize..4,
+            frac in 0.0..1.0f64,
+            dlat in -0.002..0.002f64,
+            dlon in -0.002..0.002f64,
+            heading in 0.0..360.0f64,
+            n in 1usize..=6,
+            steps in prop::collection::vec((0u8..16, 0.0..1.0f64, 0.0..1.0f64), 1..160),
+        ) {
+            let hand = hand_built();
+            let dep = all_carriers().get(which).unwrap_or(&hand);
+            let start = walk_start(which == 3, frac, dlat, dlon);
+            walk_against_oracle(dep, start, heading, n, &steps);
+        }
+    }
+
+    #[test]
+    fn seeded_search_matches_oracle_back_and_forth_across_cell_edges() {
+        // Walks that cross a latitude and a longitude edge and come back,
+        // twice, at 30 m a step: in a city, on a rural leg, and around the
+        // co-located sites. The seed then comes from the other cell's
+        // answer on the first step of each crossing.
+        let hand = hand_built();
+        let mut deps: Vec<&Deployment> = all_carriers().iter().collect();
+        deps.push(&hand);
+        for dep in deps {
+            let hand_built = std::ptr::eq(dep, &hand);
+            for frac in [0.0, 0.25, 0.5, 0.75, 1.0] {
+                let start = walk_start(hand_built, frac, -0.0013, -0.0013);
+                let mut steps = Vec::new();
+                for leg in 0..4 {
+                    // 45° out, then back: 12 steps of 30 m ≈ 255 m per axis.
+                    steps.extend([(9u8, 0.75, 0.5); 12]);
+                    steps.push((8, 0.0, 0.5));
+                    steps.extend([(9u8, 0.75, 0.5); 12]);
+                    steps.push((8, 0.0, 0.5));
+                    steps.push((if leg % 2 == 0 { 0 } else { 6 }, 0.0, 0.5));
+                }
+                for n in 1..=6 {
+                    let cells = walk_against_oracle(dep, start, 45.0, n, &steps);
+                    let (mut up, mut down) = (0, 0);
+                    for w in cells.windows(2) {
+                        let (a, b) = (w[0], w[1]);
+                        up += usize::from(b.0 > a.0) + usize::from(b.1 > a.1);
+                        down += usize::from(b.0 < a.0) + usize::from(b.1 < a.1);
+                    }
+                    assert!(
+                        up >= 4 && down >= 4,
+                        "{} crossings {up}/{down}",
+                        dep.carrier
+                    );
+                }
             }
         }
     }

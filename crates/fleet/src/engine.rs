@@ -209,9 +209,14 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Validates the spec and builds the shared world.
+    /// Validates the spec and builds the shared world. Panics with the
+    /// [`FleetSpecError`](crate::spec::FleetSpecError) message when the
+    /// spec cannot be expanded; callers taking specs from users check
+    /// [`FleetSpec::validate`] first.
     pub fn new(spec: FleetSpec) -> Self {
-        spec.validate();
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
         let world = FleetWorld::new(spec.seed);
         Self { spec, world }
     }

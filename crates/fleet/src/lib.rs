@@ -30,4 +30,4 @@ pub mod spec;
 pub use aggregate::{CellAgg, FleetAggregate, UserRecord};
 pub use engine::{FleetEngine, FleetWorld};
 pub use population::{build_samples, synthesize, user_seed, UserProfile};
-pub use spec::{AreaMix, FleetSpec, NetworkMix};
+pub use spec::{AreaMix, FleetSpec, FleetSpecError, NetworkMix};

@@ -12,7 +12,7 @@ use crate::spec::FleetSpec;
 use leo_dataset::record::NetworkId;
 use leo_geo::area::AreaType;
 use leo_geo::drive::{DayPhase, EnvironmentSample, Weather};
-use leo_geo::places::{Place, PlaceCategory, PlaceDb};
+use leo_geo::places::{PlaceCategory, PlaceDb};
 use leo_geo::point::GeoPoint;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -97,13 +97,16 @@ fn draw_anchor(rng: &mut SmallRng, places: &PlaceDb, area: AreaType) -> GeoPoint
         AreaType::Suburban => &[PlaceCategory::MajorCity, PlaceCategory::City],
         AreaType::Rural => &[PlaceCategory::Town],
     };
-    let candidates: Vec<&Place> = places
+    let mut candidates = places
         .places()
         .iter()
-        .filter(|p| wants.contains(&p.category))
-        .collect();
-    assert!(!candidates.is_empty(), "place db has no {area:?} anchors");
-    let base = candidates[rng.gen_range(0..candidates.len())].location;
+        .filter(|p| wants.contains(&p.category));
+    let count = candidates.clone().count();
+    assert!(count > 0, "place db has no {area:?} anchors");
+    let base = candidates
+        .nth(rng.gen_range(0..count))
+        .expect("the draw is below the count")
+        .location;
     let bearing = rng.gen_range(0.0..360.0);
     let dist = match area {
         AreaType::Urban => rng.gen_range(0.0..4.0),
@@ -220,6 +223,46 @@ mod tests {
             agree as f64 / n as f64 > 0.6,
             "only {agree}/{n} anchors classify as assigned"
         );
+    }
+
+    /// `draw_anchor` as first written, collecting the candidates into a
+    /// `Vec` before drawing one.
+    fn draw_anchor_oracle(rng: &mut SmallRng, places: &PlaceDb, area: AreaType) -> GeoPoint {
+        let wants: &[PlaceCategory] = match area {
+            AreaType::Urban | AreaType::Suburban => {
+                &[PlaceCategory::MajorCity, PlaceCategory::City]
+            }
+            AreaType::Rural => &[PlaceCategory::Town],
+        };
+        let candidates: Vec<&leo_geo::places::Place> = places
+            .places()
+            .iter()
+            .filter(|p| wants.contains(&p.category))
+            .collect();
+        let base = candidates[rng.gen_range(0..candidates.len())].location;
+        let bearing = rng.gen_range(0.0..360.0);
+        let dist = match area {
+            AreaType::Urban => rng.gen_range(0.0..4.0),
+            AreaType::Suburban => rng.gen_range(12.0..22.0),
+            AreaType::Rural => rng.gen_range(40.0..120.0),
+        };
+        base.destination(bearing, dist)
+    }
+
+    #[test]
+    fn anchors_match_the_collecting_oracle() {
+        let places = PlaceDb::five_state_corridor();
+        for seed in 0..300u64 {
+            for area in AreaType::ALL {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut oracle_rng = SmallRng::seed_from_u64(seed);
+                let got = draw_anchor(&mut rng, &places, area);
+                let want = draw_anchor_oracle(&mut oracle_rng, &places, area);
+                assert_eq!(got, want, "seed {seed} {area:?}");
+                // The same draws, so the streams stay in step.
+                assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+            }
+        }
     }
 
     #[test]

@@ -172,17 +172,39 @@ impl FleetSpec {
         Self::new("canonical-1k", 0xf1ee_2023, 1000, 60)
     }
 
-    /// Panics with a descriptive message if the spec cannot be expanded.
-    pub fn validate(&self) {
-        assert!(self.users >= 1, "fleet needs at least one user");
-        assert!(self.session_s >= 1, "sessions need at least one second");
-        assert!(self.area_mix.total() > 0, "area mix must have weight");
-        assert!(self.network_mix.total() > 0, "network mix must have weight");
-        assert!(
-            self.bucket_km.is_finite() && self.bucket_km > 0.0,
-            "bucket_km must be a positive finite length"
-        );
-        assert!(self.shard_users >= 1, "shards need at least one user");
+    /// Checks that the spec can be expanded; the error lists every
+    /// violated field.
+    pub fn validate(&self) -> Result<(), FleetSpecError> {
+        let checks = [
+            (self.users >= 1, "users", "at least one user"),
+            (self.session_s >= 1, "session_s", "at least one second"),
+            (
+                self.area_mix.total() > 0,
+                "area_mix",
+                "a positive total weight",
+            ),
+            (
+                self.network_mix.total() > 0,
+                "network_mix",
+                "a positive total weight",
+            ),
+            (
+                self.bucket_km.is_finite() && self.bucket_km > 0.0,
+                "bucket_km",
+                "a positive finite length",
+            ),
+            (self.shard_users >= 1, "shard_users", "at least one user"),
+        ];
+        let violations: Vec<_> = checks
+            .into_iter()
+            .filter(|(ok, ..)| !ok)
+            .map(|(_, field, needs)| (field, needs))
+            .collect();
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(FleetSpecError { violations })
+        }
     }
 
     /// The area for a weighted draw in `[0, area_mix.total())`.
@@ -195,6 +217,26 @@ impl FleetSpec {
         pick_weighted(&self.network_mix.weights(), draw, &NetworkId::ALL)
     }
 }
+
+/// Why a [`FleetSpec`] cannot be expanded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FleetSpecError {
+    /// Each violated field with what it needs, in declaration order.
+    pub violations: Vec<(&'static str, &'static str)>,
+}
+
+impl std::fmt::Display for FleetSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid fleet spec:")?;
+        for (i, (field, needs)) in self.violations.iter().enumerate() {
+            let sep = if i == 0 { " " } else { "; " };
+            write!(f, "{sep}{field} needs {needs}")?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for FleetSpecError {}
 
 /// Walks the cumulative weights; `draw` must be below their total.
 fn pick_weighted<T: Copy, const N: usize>(weights: &[u32; N], draw: u64, items: &[T; N]) -> T {
@@ -215,10 +257,50 @@ mod tests {
     #[test]
     fn canonical_spec_is_valid_and_stable() {
         let s = FleetSpec::canonical_1k();
-        s.validate();
+        assert_eq!(s.validate(), Ok(()));
         assert_eq!(s.users, 1000);
         assert_eq!(s.session_s, 60);
         assert_eq!(s.seed, 0xf1ee_2023);
+    }
+
+    #[test]
+    fn validation_lists_every_violated_field() {
+        let mut s = FleetSpec::new("bad", 1, 0, 0);
+        s.area_mix = AreaMix {
+            urban: 0,
+            suburban: 0,
+            rural: 0,
+        };
+        s.bucket_km = f64::NAN;
+        s.shard_users = 0;
+        let err = s.validate().unwrap_err();
+        let fields: Vec<&str> = err.violations.iter().map(|(f, _)| *f).collect();
+        assert_eq!(
+            fields,
+            ["users", "session_s", "area_mix", "bucket_km", "shard_users"]
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid fleet spec: users needs at least one user; session_s needs at least \
+             one second; area_mix needs a positive total weight; bucket_km needs a positive \
+             finite length; shard_users needs at least one user"
+        );
+        for bucket_km in [0.0, -2.0, f64::INFINITY] {
+            let mut s = FleetSpec::canonical_1k();
+            s.bucket_km = bucket_km;
+            let err = s.validate().unwrap_err();
+            assert_eq!(err.violations, [("bucket_km", "a positive finite length")]);
+        }
+        let mut s = FleetSpec::canonical_1k();
+        s.network_mix = NetworkMix {
+            att: 0,
+            tmobile: 0,
+            verizon: 0,
+            roam: 0,
+            mobility: 0,
+        };
+        let err = s.validate().unwrap_err();
+        assert_eq!(err.violations, [("network_mix", "a positive total weight")]);
     }
 
     #[test]

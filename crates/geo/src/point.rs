@@ -45,11 +45,22 @@ impl GeoPoint {
 
     /// Great-circle (haversine) distance to `other`, in kilometres.
     pub fn distance_km(&self, other: &GeoPoint) -> f64 {
-        let lat1 = self.lat_deg.to_radians();
-        let lat2 = other.lat_deg.to_radians();
+        self.distance_km_cos(self.cos_lat(), other, other.cos_lat())
+    }
+
+    /// Cosine of the latitude, as [`distance_km_cos`](Self::distance_km_cos)
+    /// takes it.
+    pub fn cos_lat(&self) -> f64 {
+        self.lat_deg.to_radians().cos()
+    }
+
+    /// [`distance_km`](Self::distance_km) with both points' [`cos_lat`](Self::cos_lat)
+    /// given, for callers that keep them: bit-identical when they are the
+    /// points' own.
+    pub fn distance_km_cos(&self, cos_lat1: f64, other: &GeoPoint, cos_lat2: f64) -> f64 {
         let dlat = (other.lat_deg - self.lat_deg).to_radians();
         let dlon = (other.lon_deg - self.lon_deg).to_radians();
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let a = (dlat / 2.0).sin().powi(2) + cos_lat1 * cos_lat2 * (dlon / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
     }
 
@@ -147,12 +158,18 @@ impl Ecef {
     /// `self` is assumed to be at or near the Earth's surface; the local
     /// vertical is the direction from the Earth's centre through `self`.
     pub fn elevation_deg_to(&self, target: &Ecef) -> f64 {
+        self.elevation_deg_with_norm(self.norm_km(), target)
+    }
+
+    /// [`elevation_deg_to`](Self::elevation_deg_to) with this position's
+    /// [`norm_km`](Self::norm_km) given as `up_norm`, for an observer that
+    /// looks at many targets: bit-identical when `up_norm` is that norm.
+    pub fn elevation_deg_with_norm(&self, up_norm: f64, target: &Ecef) -> f64 {
         let los = target.sub(self);
         let range = los.norm_km();
         if range < 1e-9 {
             return 90.0;
         }
-        let up_norm = self.norm_km();
         // sin(elevation) = (los · up) / (|los| |up|)
         let sin_el = self.dot(&los) / (up_norm * range);
         sin_el.clamp(-1.0, 1.0).asin().to_degrees()
@@ -162,9 +179,67 @@ impl Ecef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b} (tol {tol})");
+    }
+
+    /// `distance_km` as first written, each latitude's cosine computed in
+    /// place: the reference for [`GeoPoint::distance_km_cos`].
+    fn distance_oracle(p: &GeoPoint, other: &GeoPoint) -> f64 {
+        let lat1 = p.lat_deg.to_radians();
+        let lat2 = other.lat_deg.to_radians();
+        let dlat = (other.lat_deg - p.lat_deg).to_radians();
+        let dlon = (other.lon_deg - p.lon_deg).to_radians();
+        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
+    }
+
+    /// `elevation_deg_to` as first written, the norm computed in place:
+    /// the reference for [`Ecef::elevation_deg_with_norm`].
+    fn elevation_oracle(gp: &Ecef, target: &Ecef) -> f64 {
+        let los = target.sub(gp);
+        let range = los.norm_km();
+        if range < 1e-9 {
+            return 90.0;
+        }
+        let sin_el = gp.dot(&los) / (gp.norm_km() * range);
+        sin_el.clamp(-1.0, 1.0).asin().to_degrees()
+    }
+
+    proptest! {
+        #[test]
+        fn distance_matches_the_haversine_oracle(
+            lat1 in -90.0..=90.0f64,
+            lon1 in -180.0..=180.0f64,
+            lat2 in -90.0..=90.0f64,
+            lon2 in -180.0..=180.0f64,
+        ) {
+            let (p, q) = (GeoPoint::new(lat1, lon1), GeoPoint::new(lat2, lon2));
+            prop_assert_eq!(p.distance_km(&q).to_bits(), distance_oracle(&p, &q).to_bits());
+            prop_assert_eq!(
+                p.distance_km_cos(p.cos_lat(), &q, q.cos_lat()).to_bits(),
+                distance_oracle(&p, &q).to_bits()
+            );
+        }
+
+        #[test]
+        fn elevation_with_norm_matches_the_oracle(
+            lat in -90.0..=90.0f64,
+            lon in -180.0..=180.0f64,
+            sat_lat in -90.0..=90.0f64,
+            sat_lon in -180.0..=180.0f64,
+            alt in prop_oneof![Just(0.0), Just(1e-10), 0.0..40_000.0f64],
+        ) {
+            let gp = GeoPoint::new(lat, lon).to_ecef(0.0);
+            for target in [GeoPoint::new(sat_lat, sat_lon).to_ecef(alt), gp] {
+                let want = elevation_oracle(&gp, &target).to_bits();
+                prop_assert_eq!(gp.elevation_deg_to(&target).to_bits(), want);
+                let with_norm = gp.elevation_deg_with_norm(gp.norm_km(), &target);
+                prop_assert_eq!(with_norm.to_bits(), want);
+            }
+        }
     }
 
     #[test]

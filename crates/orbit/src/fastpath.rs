@@ -315,9 +315,41 @@ fn build_windows(
     }
 }
 
-/// Evaluates the exact visibility test on every candidate in `windows`,
-/// appending hits to `out` (cleared first) in ascending
-/// (shell, plane, slot) order — the same order as the naive scan.
+/// Walks every candidate in `windows`, handing `look` each satellite with
+/// its position and its elevation from `gp` (the observer's norm computed
+/// once per walk): the one candidate walk behind [`scan_windows`] and
+/// [`best_in_windows`]. Windows come in ascending (shell, plane) order; a
+/// wrapped window visits its plane's slots out of order.
+fn walk_windows(
+    table: &PropagationTable,
+    windows: &[PlaneWindow],
+    gp: &Ecef,
+    t_s: f64,
+    mut look: impl FnMut(Satellite, &Ecef, f64),
+) {
+    let (sin_t, cos_t) = earth_rotation(t_s);
+    let up_norm = gp.norm_km();
+    for w in windows {
+        let plane = &table.planes[w.plane_idx as usize];
+        let shell = &table.shells[plane.shell as usize];
+        let spp = shell.sats_per_plane as i64;
+        for k in w.k_lo..=w.k_hi {
+            let slot = k.rem_euclid(spp) as usize;
+            let sat_idx = plane.sat_start + slot;
+            let sp = table.position_inner(shell, plane, sat_idx, t_s, sin_t, cos_t);
+            let sat = Satellite {
+                shell: plane.shell,
+                plane: plane.plane,
+                slot: slot as u16,
+            };
+            look(sat, &sp, gp.elevation_deg_with_norm(up_norm, &sp));
+        }
+    }
+}
+
+/// Every candidate in `windows` that clears the mask, appended to `out`
+/// (cleared first) in ascending (shell, plane, slot) order — the same
+/// order as the naive scan.
 fn scan_windows(
     table: &PropagationTable,
     windows: &[PlaneWindow],
@@ -327,30 +359,59 @@ fn scan_windows(
     out: &mut Vec<SatView>,
 ) {
     out.clear();
-    let (sin_t, cos_t) = earth_rotation(t_s);
-    for w in windows {
-        let plane = &table.planes[w.plane_idx as usize];
-        let shell = &table.shells[plane.shell as usize];
-        let spp = shell.sats_per_plane as i64;
-        for k in w.k_lo..=w.k_hi {
-            let slot = k.rem_euclid(spp) as usize;
-            let sat_idx = plane.sat_start + slot;
-            let sp = table.position_inner(shell, plane, sat_idx, t_s, sin_t, cos_t);
-            let elevation = gp.elevation_deg_to(&sp);
-            if elevation >= min_elevation_deg {
-                out.push(SatView {
-                    sat: Satellite {
-                        shell: plane.shell,
-                        plane: plane.plane,
-                        slot: slot as u16,
-                    },
-                    elevation_deg: elevation,
-                    range_km: gp.distance_km(&sp),
-                });
-            }
+    walk_windows(table, windows, gp, t_s, |sat, sp, elevation| {
+        if elevation >= min_elevation_deg {
+            out.push(SatView {
+                sat,
+                elevation_deg: elevation,
+                range_km: gp.distance_km(sp),
+            });
         }
-    }
+    });
     out.sort_unstable_by_key(|v| (v.sat.shell, v.sat.plane, v.sat.slot));
+}
+
+/// The candidate in `windows` with the highest elevation, if it clears the
+/// mask: the one best-satellite query behind [`best_satellite_fast`] and
+/// [`VisibilitySearcher::best`]. An argmax, not a sorted list, and exact
+/// by construction:
+/// - The walk keeps the running best over every candidate, by elevation
+///   (`total_cmp`) and then (shell, plane, slot): on an exact tie the
+///   larger key wins, which is what `Iterator::max_by` returns over the
+///   ascending visible list (the last of the maximal elements).
+/// - The mask is tested on the winner alone. Every other candidate's
+///   elevation is at most the winner's, so if the winner misses the mask
+///   none clears it, and if it clears the mask it also wins among the
+///   candidates that do. So any windows that hold every visible satellite
+///   give the same answer.
+/// - The range is computed for the winner only.
+fn best_in_windows(
+    table: &PropagationTable,
+    windows: &[PlaneWindow],
+    gp: &Ecef,
+    t_s: f64,
+    min_elevation_deg: f64,
+) -> Option<SatView> {
+    let key = |s: Satellite| (s.shell, s.plane, s.slot);
+    // (satellite, position, elevation) of the running best.
+    let mut best: Option<(Satellite, Ecef, f64)> = None;
+    walk_windows(table, windows, gp, t_s, |sat, sp, elevation| {
+        let wins = best.is_none_or(|(b, _, b_el)| {
+            elevation
+                .total_cmp(&b_el)
+                .then_with(|| key(sat).cmp(&key(b)))
+                .is_gt()
+        });
+        if wins {
+            best = Some((sat, *sp, elevation));
+        }
+    });
+    best.filter(|&(.., elevation)| elevation >= min_elevation_deg)
+        .map(|(sat, sp, elevation_deg)| SatView {
+            sat,
+            elevation_deg,
+            range_km: gp.distance_km(&sp),
+        })
 }
 
 /// One-shot fast visibility query: identical results to
@@ -378,20 +439,10 @@ pub fn best_satellite_fast(
     t_s: f64,
     min_elevation_deg: f64,
 ) -> Option<SatView> {
-    best_of(visible_satellites_fast(
-        table,
-        ground,
-        t_s,
-        min_elevation_deg,
-    ))
-}
-
-/// Highest-elevation view, resolving ties like the naive
-/// `Iterator::max_by` over ascending (shell, plane, slot) order.
-fn best_of(views: Vec<SatView>) -> Option<SatView> {
-    views
-        .into_iter()
-        .max_by(|a, b| a.elevation_deg.total_cmp(&b.elevation_deg))
+    let gp = ground.to_ecef(0.0);
+    let mut windows = Vec::new();
+    build_windows(table, &gp, t_s, min_elevation_deg, 0.0, &mut windows);
+    best_in_windows(table, &windows, &gp, t_s, min_elevation_deg)
 }
 
 /// Cached pruning state of a [`VisibilitySearcher`].
@@ -430,7 +481,6 @@ pub struct VisibilitySearcher {
     /// How far (km) the observer may move before windows are rebuilt.
     move_budget_km: f64,
     state: Option<SearchState>,
-    scratch: Vec<SatView>,
 }
 
 impl VisibilitySearcher {
@@ -463,7 +513,6 @@ impl VisibilitySearcher {
             horizon_s: Self::DEFAULT_HORIZON_S,
             move_budget_km: Self::DEFAULT_MOVE_BUDGET_KM,
             state: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -560,14 +609,21 @@ impl VisibilitySearcher {
     /// The visible satellite with the highest elevation — identical to
     /// [`crate::visibility::best_satellite`].
     pub fn best(&mut self, ground: &GeoPoint, t_s: f64, min_elevation_deg: f64) -> Option<SatView> {
-        let mut out = std::mem::take(&mut self.scratch);
-        self.visible_into(ground, t_s, min_elevation_deg, &mut out);
-        let best = out
-            .iter()
-            .copied()
-            .max_by(|a, b| a.elevation_deg.total_cmp(&b.elevation_deg));
-        self.scratch = out;
-        best
+        self.best_from(&ground.to_ecef(0.0), t_s, min_elevation_deg)
+    }
+
+    /// [`best`](Self::best) for an observer given by its surface ECEF
+    /// position (`GeoPoint::to_ecef(0.0)`), which a caller holding still
+    /// computes once.
+    pub(crate) fn best_from(
+        &mut self,
+        gp: &Ecef,
+        t_s: f64,
+        min_elevation_deg: f64,
+    ) -> Option<SatView> {
+        self.ensure_windows(gp, t_s, min_elevation_deg);
+        let state = self.state.as_ref().expect("windows just ensured");
+        best_in_windows(&self.table, &state.windows, gp, t_s, min_elevation_deg)
     }
 
     /// Number of candidate satellites the current windows admit — the
@@ -851,6 +907,131 @@ mod tests {
                 "user B t={t_s}"
             );
         }
+    }
+
+    /// The list-then-`max_by` form of `best`: the reference for the
+    /// argmax.
+    fn best_oracle(
+        s: &mut VisibilitySearcher,
+        g: &GeoPoint,
+        t_s: f64,
+        mask: f64,
+    ) -> Option<SatView> {
+        s.visible(g, t_s, mask)
+            .into_iter()
+            .max_by(|a, b| a.elevation_deg.total_cmp(&b.elevation_deg))
+    }
+
+    /// Windows of `s` whose slot range runs past either end of its plane.
+    fn wrapped_windows(s: &VisibilitySearcher) -> usize {
+        let state = s.state.as_ref().expect("a query ran");
+        state
+            .windows
+            .iter()
+            .filter(|w| {
+                let plane = &s.table.planes[w.plane_idx as usize];
+                let spp = s.table.shells[plane.shell as usize].sats_per_plane as i64;
+                w.k_lo < 0 || w.k_hi >= spp
+            })
+            .count()
+    }
+
+    #[test]
+    fn best_is_the_argmax_of_visible_on_exotic_shells() {
+        let c = exotic_constellation();
+        let table = PropagationTable::new(&c);
+        let mut argmax = VisibilitySearcher::new(&c);
+        let mut list = VisibilitySearcher::new(&c);
+        let (mut wrapped, mut found) = (0, 0);
+        for (lat, lon) in [
+            (0.0, 0.0),
+            (0.4, 120.0),
+            (89.0, 45.0),
+            (-89.0, 0.0),
+            (53.0, 170.0),
+            (-30.0, -60.0),
+        ] {
+            let g = GeoPoint::new(lat, lon);
+            for t in 0..120u64 {
+                // Seconds apart within a slot, then a jump past the horizon.
+                let t_s = (t / 8) as f64 * 997.3 + (t % 8) as f64;
+                for mask in [0.0, 15.0, 40.0] {
+                    let got = argmax.best(&g, t_s, mask);
+                    let ctx = format!("({lat},{lon}) t={t_s} mask={mask}");
+                    assert_eq!(got, best_oracle(&mut list, &g, t_s, mask), "{ctx}");
+                    if t % 8 == 0 {
+                        assert_eq!(got, best_satellite(&c, &g, t_s, mask), "naive {ctx}");
+                        let one_shot = best_satellite_fast(&table, &g, t_s, mask);
+                        assert_eq!(got, one_shot, "one-shot {ctx}");
+                    }
+                    wrapped += wrapped_windows(&argmax);
+                    found += usize::from(got.is_some());
+                }
+            }
+        }
+        let nan = f64::NAN;
+        let here = GeoPoint::new(10.0, 10.0);
+        for (g, t_s, mask) in [
+            (
+                GeoPoint {
+                    lat_deg: nan,
+                    lon_deg: 10.0,
+                },
+                50.0,
+                25.0,
+            ),
+            (here, nan, 25.0),
+            (here, 50.0, nan),
+        ] {
+            let got = argmax.best(&g, t_s, mask);
+            assert_eq!(
+                got,
+                best_oracle(&mut list, &g, t_s, mask),
+                "{g:?} {t_s} {mask}"
+            );
+        }
+        assert!(wrapped > 0, "no wrapped window was walked");
+        assert!(found > 100, "only {found} queries saw a satellite");
+    }
+
+    #[test]
+    fn exact_elevation_ties_go_to_the_larger_shell() {
+        // Two identical shells put two satellites at every position, so
+        // every visible elevation ties exactly; `max_by` over the sorted
+        // list returns the last, shell 1's.
+        let shell = Shell::starlink_shell4();
+        let c = Constellation::new(vec![shell, shell]);
+        let table = PropagationTable::new(&c);
+        let mut argmax = VisibilitySearcher::new(&c);
+        let mut list = VisibilitySearcher::new(&c);
+        let mut ties = 0;
+        for (lat, lon) in [(44.5, -93.0), (0.0, 0.0), (-60.0, 20.0), (75.0, 140.0)] {
+            let g = GeoPoint::new(lat, lon);
+            for t in 0..40u64 {
+                let t_s = t as f64 * 61.0;
+                let got = argmax.best(&g, t_s, 25.0);
+                assert_eq!(
+                    got,
+                    best_oracle(&mut list, &g, t_s, 25.0),
+                    "({lat},{lon}) t={t_s}"
+                );
+                assert_eq!(
+                    got,
+                    best_satellite(&c, &g, t_s, 25.0),
+                    "({lat},{lon}) t={t_s}"
+                );
+                assert_eq!(
+                    got,
+                    best_satellite_fast(&table, &g, t_s, 25.0),
+                    "one-shot ({lat},{lon}) t={t_s}"
+                );
+                if let Some(v) = got {
+                    assert_eq!(v.sat.shell, 1, "a tie must resolve to shell 1");
+                    ties += 1;
+                }
+            }
+        }
+        assert!(ties > 20, "only {ties} tied queries");
     }
 
     #[test]

@@ -187,6 +187,7 @@ impl StarlinkLinkModel {
             current_sat: None,
             geo_rtt_ms: bent_pipe_floor_rtt_ms(),
             reacq_left: 0,
+            observer: None,
         };
         let mut radios: Vec<Radio> = variants
             .iter()
@@ -241,12 +242,16 @@ struct SkyGeometry {
 }
 
 /// The geometry step's state: the serving satellite and its slot's
-/// gateway RTT, and the re-acquisition countdown.
+/// gateway RTT, the re-acquisition countdown, and the observer's frame.
 struct Geometry<'s> {
     searcher: &'s mut VisibilitySearcher,
     current_sat: Option<Satellite>,
     geo_rtt_ms: f64,
     reacq_left: u32,
+    /// The last sample position's bits `(lat, lon)` and its surface ECEF
+    /// position: a held position computes it once. It is a pure function
+    /// of those bits, so reusing it is exact.
+    observer: Option<((u64, u64), Ecef)>,
 }
 
 impl Geometry<'_> {
@@ -254,10 +259,20 @@ impl Geometry<'_> {
     /// is in the plan's field of view.
     fn step(&mut self, m: &StarlinkLinkModel, sample: &EnvironmentSample) -> Option<SkyGeometry> {
         let t_s = sample.t_s as f64;
+        let p = &sample.position;
+        let key = (p.lat_deg.to_bits(), p.lon_deg.to_bits());
+        let gp = match self.observer {
+            Some((k, gp)) if k == key => gp,
+            _ => {
+                let gp = p.to_ecef(0.0);
+                self.observer = Some((key, gp));
+                gp
+            }
+        };
         // Satellite (re)selection at each reconfiguration slot.
         if sample.t_s.is_multiple_of(m.config.reconfig_interval_s) || self.current_sat.is_none() {
             let mask = m.config.plan.min_elevation_deg();
-            let view = self.searcher.best(&sample.position, t_s, mask);
+            let view = self.searcher.best_from(&gp, t_s, mask);
             let new_sat = view.map(|v| v.sat);
             if new_sat != self.current_sat && self.current_sat.is_some() {
                 self.reacq_left = m.config.plan.reacquisition_s();
@@ -280,7 +295,7 @@ impl Geometry<'_> {
         let reacquiring = self.reacq_left > 0;
         self.reacq_left = self.reacq_left.saturating_sub(1);
         Some(SkyGeometry {
-            beam_q: beam_quality_at(&sat_pos, sample),
+            beam_q: beam_quality_at(&sat_pos, &gp),
             geo_rtt_ms: self.geo_rtt_ms,
             reacquiring,
         })
@@ -379,9 +394,9 @@ impl Radio {
     }
 }
 
-/// Beam quality from the serving satellite's elevation, in `(0, 1]`.
-fn beam_quality_at(sat_pos: &Ecef, sample: &EnvironmentSample) -> f64 {
-    let gp = sample.position.to_ecef(0.0);
+/// Beam quality from the serving satellite's elevation, in `(0, 1]`, seen
+/// from the surface ECEF position `gp`.
+fn beam_quality_at(sat_pos: &Ecef, gp: &Ecef) -> f64 {
     let elev = gp.elevation_deg_to(sat_pos).max(5.0);
     elev.to_radians().sin().powf(0.35)
 }
@@ -497,7 +512,7 @@ mod tests {
                 continue;
             };
             let sat_pos = m.constellation.position_ecef(sat, sample.t_s as f64);
-            let beam_q = beam_quality_at(&sat_pos, sample);
+            let beam_q = beam_quality_at(&sat_pos, &sample.position.to_ecef(0.0));
             let segment = sample.travelled_km.floor() as u64;
             let quality = segment_sky_quality(m.config.seed, area, segment);
             let state = sky.step(area, &mut rng);
@@ -769,6 +784,45 @@ mod tests {
             let mut vs = variants(&s, salt);
             vs.truncate(n_variants);
             assert_variants_match_oracle(&model(plan), &vs);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Stop-and-go drives: dwells of 1–40 s at one position (a NaN
+        /// position among them, and ±0.0 coordinates), each followed by a
+        /// stretch driven at up to 40 m/s. The geometry step keeps a held
+        /// position's frame; every variant still equals the oracle, which
+        /// computes the frame every second.
+        #[test]
+        fn stop_and_go_drive_matches_oracle_for_every_variant(
+            roam in 0u8..2,
+            lat in 41.0..46.0f64,
+            lon in -96.0..-86.0f64,
+            bearing in 0.0..360.0f64,
+            t0 in 0u64..100_000,
+            legs in prop::collection::vec((1u64..40, 0u64..30, 0.0..0.04f64, 0u8..8), 1..12),
+            salt in 0u64..u64::MAX,
+        ) {
+            let mut s = Vec::new();
+            let mut here = GeoPoint::new(lat, lon);
+            for (dwell, drive_s, step_km, kind) in legs {
+                let held = match kind {
+                    0 => GeoPoint { lat_deg: f64::NAN, ..here },
+                    1 => GeoPoint { lat_deg: 0.0, lon_deg: -0.0 },
+                    2 => GeoPoint { lat_deg: -0.0, lon_deg: 0.0 },
+                    _ => here,
+                };
+                let t = t0 + s.len() as u64;
+                s.extend(drive_from(held, bearing, 0.0, t, dwell));
+                let t = t0 + s.len() as u64;
+                let leg = drive_from(here, bearing, step_km, t, drive_s);
+                here = leg.last().map_or(here, |l| l.position);
+                s.extend(leg);
+            }
+            let plan = if roam == 1 { DishPlan::Roam } else { DishPlan::Mobility };
+            assert_variants_match_oracle(&model(plan), &variants(&s, salt));
         }
     }
 

@@ -101,6 +101,10 @@ fn check_availability(agg: &FleetAggregate) {
 
 fn main() {
     let args = parse_args();
+    let spec = FleetSpec::new("bench", 0xf1ee_2023, args.users, args.session_s);
+    if let Err(e) = spec.validate() {
+        cli::fail(&e.to_string());
+    }
 
     // Determinism gate: a small fleet must aggregate byte-identically at
     // 1 and 4 threads before the big run's numbers mean anything.
@@ -112,7 +116,6 @@ fn main() {
     );
     println!("determinism gate: 200-user aggregates byte-identical at 1 vs 4 threads");
 
-    let spec = FleetSpec::new("bench", 0xf1ee_2023, args.users, args.session_s);
     let build_start = Instant::now();
     let engine = FleetEngine::new(spec);
     let world_build_secs = build_start.elapsed().as_secs_f64();
